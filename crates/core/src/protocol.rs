@@ -19,7 +19,7 @@
 //! The failure-detector wiring follows the pseudo-code line by line; comments
 //! in the handlers cite the corresponding line numbers.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use byzcast_crypto::{CacheStats, Signer, Verifier};
@@ -151,7 +151,12 @@ pub struct ByzcastNode {
     counters: ProtocolCounters,
     /// History of this node's own TRUST suspicions (for experiment R6).
     sus_log: SuspicionLog,
-    prev_untrusted: BTreeSet<NodeId>,
+    /// The nodes TRUST held untrusted at the last `fd_tick`, ascending.
+    prev_untrusted: Vec<NodeId>,
+    /// Reused `fd_tick` buffers: this tick's untrusted nodes, and those of
+    /// them that were trusted at the previous tick.
+    untrusted_now: Vec<NodeId>,
+    fresh_untrusted: Vec<NodeId>,
     /// When the last beacon was piggybacked (`None` = one is due now).
     last_beacon: Option<SimTime>,
     /// Recovery responses scheduled after `rebroadcast_timeout` jitter,
@@ -167,9 +172,9 @@ pub struct ByzcastNode {
     /// holder answers a given id at most once per window, bounding response
     /// implosion even when collisions hide other holders' answers.
     served_recently: BTreeMap<MessageId, SimTime>,
-    /// Which neighbours have been observed holding each buffered message
-    /// (drives stability-based purging when enabled).
-    stability: StabilityTracker,
+    /// Which neighbours have been observed holding each buffered message.
+    /// Built only under `PurgePolicy::Stability`, its sole reader.
+    stability: Option<StabilityTracker>,
     /// Reused preimage buffer for beacon verification (the most frequent
     /// signature check).
     beacon_scratch: Vec<u8>,
@@ -230,6 +235,7 @@ impl ByzcastNode {
             config.resources.max_seen_ids,
         );
         let governor = Governor::new(config.resources);
+        let stability = (config.purge_policy == PurgePolicy::Stability).then(StabilityTracker::new);
         ByzcastNode {
             id,
             config,
@@ -247,12 +253,14 @@ impl ByzcastNode {
             missing: BTreeMap::new(),
             counters: ProtocolCounters::default(),
             sus_log: SuspicionLog::new(),
-            prev_untrusted: BTreeSet::new(),
+            prev_untrusted: Vec::new(),
+            untrusted_now: Vec::new(),
+            fresh_untrusted: Vec::new(),
             last_beacon: None,
             pending_responses: BTreeMap::new(),
             finds_forwarded: BTreeMap::new(),
             served_recently: BTreeMap::new(),
-            stability: StabilityTracker::new(),
+            stability,
             beacon_scratch: Vec::new(),
             governor,
             recovery_stats: RecoveryStats::default(),
@@ -416,13 +424,14 @@ impl ByzcastNode {
         }
     }
 
-    /// Whether an `active_gossip` entry for `id` may be created on behalf of
-    /// `from`. Per-origin quotas bound how much advertisement bookkeeping a
-    /// single (possibly Byzantine) originator can occupy; a node's own
-    /// messages are exempt (origination is application-driven).
+    /// Whether an `active_gossip` entry for the untracked `id` may be created
+    /// on behalf of `from`. Per-origin quotas bound how much advertisement
+    /// bookkeeping a single (possibly Byzantine) originator can occupy; a
+    /// node's own messages are exempt (origination is application-driven).
     fn gossip_quota_allows(&mut self, now: SimTime, from: NodeId, id: MessageId) -> bool {
+        debug_assert!(!self.active_gossip.contains_key(&id));
         let quota = self.config.resources.max_gossip_per_origin;
-        if quota == 0 || id.origin == self.id || self.active_gossip.contains_key(&id) {
+        if quota == 0 || id.origin == self.id {
             return true;
         }
         let in_use = self
@@ -450,8 +459,10 @@ impl ByzcastNode {
         self.fds.mute.observe(&m.header(), from);
         // Whoever transmitted the message evidently holds it (and so does
         // its originator) — stability-tracking input.
-        self.stability.observe_holder(m.id, from);
-        self.stability.observe_holder(m.id, m.id.origin);
+        if let Some(st) = &mut self.stability {
+            st.observe_holder(m.id, from);
+            st.observe_holder(m.id, m.id.origin);
+        }
         // Another node rebroadcast this message: cancel our own scheduled
         // recovery response for it (implosion suppression).
         self.pending_responses.remove(&m.id);
@@ -530,16 +541,21 @@ impl ByzcastNode {
         // Entries for messages we already hold need no re-verification: we
         // never use their contents (our own stored copy backs any echo), so
         // the signature check — the hot cost at scale — runs only for
-        // genuinely new announcements.
-        if self.store.has(e.id) {
+        // genuinely new announcements. An id we advertise is held
+        // (`active_gossip ⊆ store`), so one probe settles the common case.
+        let tracked = self.active_gossip.contains_key(&e.id);
+        if tracked || self.store.has(e.id) {
             // A gossiper holds what it advertises ("p only gossips about
             // messages it has already received").
-            self.stability.observe_holder(e.id, from);
-            // Lines 34–37: we have the message — echo its gossip once.
-            // Entries whose window closed stay in the map with 0 rounds, so
-            // the echo cannot be re-armed forever by mutual re-advertising.
-            if self.gossip_quota_allows(now, from, e.id) {
-                self.active_gossip.entry(e.id).or_insert(1);
+            if let Some(st) = &mut self.stability {
+                st.observe_holder(e.id, from);
+            }
+            // Lines 34–37: we have the message — echo its gossip once. A
+            // tracked id keeps the rounds it has left: entries whose window
+            // closed stay in the map with 0 rounds, so the echo cannot be
+            // re-armed forever by mutual re-advertising.
+            if !tracked && self.gossip_quota_allows(now, from, e.id) {
+                self.active_gossip.insert(e.id, 1);
                 self.peak_active_gossip = self.peak_active_gossip.max(self.active_gossip.len());
             }
             return;
@@ -943,7 +959,6 @@ impl ByzcastNode {
                 self.fds.trust.report_from_neighbor(now, from, s);
             }
         }
-        let _ = ctx;
     }
 
     /// Runs the periodic overlay-maintenance computation step (paper §3.3)
@@ -1058,16 +1073,22 @@ impl ByzcastNode {
     fn fd_tick(&mut self, ctx: &mut Context<'_, WireMsg>) {
         let now = ctx.now();
         self.fds.tick(now);
-        // Log TRUST transitions for the interval-FD analyses.
-        let current: BTreeSet<NodeId> = self.fds.trust.untrusted(now).into_iter().collect();
-        let fresh: Vec<NodeId> = current.difference(&self.prev_untrusted).copied().collect();
-        for &n in &fresh {
-            self.sus_log.begin(now, self.id, n);
+        // Log TRUST transitions for the interval-FD analyses: episodes begin
+        // and then end in ascending node order. The untrusted set rarely
+        // changes between ticks, so the sorted diff usually has no work.
+        self.fds.trust.untrusted_into(now, &mut self.untrusted_now);
+        self.fresh_untrusted.clear();
+        if self.untrusted_now != self.prev_untrusted {
+            self.fresh_untrusted
+                .extend(sorted_difference(&self.untrusted_now, &self.prev_untrusted));
+            for &n in &self.fresh_untrusted {
+                self.sus_log.begin(now, self.id, n);
+            }
+            for n in sorted_difference(&self.prev_untrusted, &self.untrusted_now) {
+                self.sus_log.end(now, self.id, n);
+            }
+            std::mem::swap(&mut self.prev_untrusted, &mut self.untrusted_now);
         }
-        for &n in self.prev_untrusted.difference(&current) {
-            self.sus_log.end(now, self.id, n);
-        }
-        self.prev_untrusted = current;
         if self.config.recovery.reelect_on_indictment {
             // Liveness-driven overlay repair: a freshly indicted neighbour —
             // or one whose beacons expired — otherwise lingers in the table
@@ -1077,13 +1098,13 @@ impl ByzcastNode {
             // so a crashed dominator's role is re-assigned within one
             // beacon period.
             let before = self.table.len();
-            for &n in &fresh {
+            for &n in &self.fresh_untrusted {
                 self.table.remove(n);
             }
             self.table.prune(now);
             let purged = (before - self.table.len()) as u64;
             self.recovery_stats.neighbors_purged += purged;
-            if purged > 0 || !fresh.is_empty() {
+            if purged > 0 || !self.fresh_untrusted.is_empty() {
                 self.reelect(now);
             }
         }
@@ -1113,7 +1134,7 @@ impl ByzcastNode {
     fn purge_tick(&mut self, ctx: &mut Context<'_, WireMsg>) {
         let now = ctx.now();
         self.store.purge(now);
-        if self.config.purge_policy == PurgePolicy::Stability {
+        if let Some(st) = &mut self.stability {
             // Early-purge every body all current trusted neighbours are
             // observed to hold: none of them can need it from us any more.
             let neighbors: Vec<NodeId> = self
@@ -1125,14 +1146,13 @@ impl ByzcastNode {
             let stable: Vec<MessageId> = self
                 .store
                 .ids()
-                .filter(|&id| self.stability.is_stable(id, neighbors.iter()))
+                .filter(|&id| st.is_stable(id, neighbors.iter()))
                 .collect();
             for id in stable {
                 self.store.remove(id);
-                self.stability.forget(id);
             }
+            st.retain(|id| self.store.has(id));
         }
-        self.stability.retain(|id| self.store.has(id));
         self.active_gossip.retain(|id, _| self.store.has(*id));
         let horizon = self.config.purge_after;
         self.missing
@@ -1152,6 +1172,16 @@ impl ByzcastNode {
             PurgePolicy::Stability => self.config.gossip_period.saturating_mul(2),
         }
     }
+}
+
+/// The elements of `a` missing from `b`, in ascending order. Both slices
+/// must be sorted ascending.
+fn sorted_difference<'a>(a: &'a [NodeId], b: &'a [NodeId]) -> impl Iterator<Item = NodeId> + 'a {
+    let mut b = b.iter().peekable();
+    a.iter().copied().filter(move |&n| {
+        while b.next_if(|&&m| m < n).is_some() {}
+        b.peek() != Some(&&n)
+    })
 }
 
 impl Protocol for ByzcastNode {
@@ -2329,6 +2359,129 @@ mod tests {
     }
 
     #[test]
+    fn echo_of_held_message_does_not_rearm_a_closed_window() {
+        let mut h = Harness::new(1, ByzcastConfig::default());
+        let t = SimTime::from_secs(1);
+        let m = h.data_from(0, 1);
+        h.drive(t, |n, ctx| n.on_packet(ctx, NodeId(0), &WireMsg::Data(m)));
+        // Use up every advertisement round: the entry becomes a tombstone.
+        for _ in 0..h.node.config().gossip_advertise_rounds {
+            h.drive(t, |n, ctx| n.gossip_tick(ctx));
+        }
+        assert_eq!(h.node.active_gossip.get(&m.id), Some(&0));
+        // A neighbour's echo of the held message leaves it closed…
+        let g = GossipMsg::of_entries(vec![m.gossip_entry()]);
+        h.drive(t, |n, ctx| n.on_packet(ctx, NodeId(5), &WireMsg::Gossip(g)));
+        assert_eq!(h.node.active_gossip.get(&m.id), Some(&0));
+        // …so the next lazycast carries no entry for it.
+        let (_, actions) = h.drive(t, |n, ctx| n.gossip_tick(ctx));
+        for s in sends(&actions) {
+            match s {
+                WireMsg::Gossip(g) => assert!(g.entries.is_empty(), "re-armed: {g:?}"),
+                other => panic!("unexpected frame {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn quota_refused_held_message_stays_unadvertised_across_echoes() {
+        use crate::resources::ResourceConfig;
+        let config = ByzcastConfig {
+            resources: ResourceConfig {
+                max_gossip_per_origin: 1,
+                ..ResourceConfig::unlimited()
+            },
+            ..ByzcastConfig::default()
+        };
+        let mut h = Harness::new(1, config);
+        let t = SimTime::from_secs(1);
+        let (m1, m2) = (h.data_from(0, 1), h.data_from(0, 2));
+        h.drive(t, |n, ctx| n.on_packet(ctx, NodeId(0), &WireMsg::Data(m1)));
+        h.drive(t, |n, ctx| n.on_packet(ctx, NodeId(0), &WireMsg::Data(m2)));
+        // Origin 0's quota holds m1; m2 is buffered but not advertised.
+        assert!(h.node.store().has(m2.id));
+        assert!(!h.node.active_gossip.contains_key(&m2.id));
+        assert_eq!(h.node.resource_stats().quota_drops, 1);
+        // Every echo of the held, untracked id takes the quota path again.
+        let period = h.node.config().gossip_period;
+        for k in 1..=3u64 {
+            let g = GossipMsg::of_entries(vec![m2.gossip_entry()]);
+            let now = t + period.saturating_mul(k);
+            h.drive(now, |n, ctx| {
+                n.on_packet(ctx, NodeId(5), &WireMsg::Gossip(g))
+            });
+            assert!(!h.node.active_gossip.contains_key(&m2.id));
+            assert_eq!(h.node.resource_stats().quota_drops, 1 + k);
+        }
+        let (_, actions) = h.drive(t, |n, ctx| n.gossip_tick(ctx));
+        for s in sends(&actions) {
+            if let WireMsg::Gossip(g) = s {
+                let ids: Vec<MessageId> = g.entries.iter().map(|e| e.id).collect();
+                assert_eq!(ids, vec![m1.id]);
+            }
+        }
+    }
+
+    #[test]
+    fn default_purge_policy_keeps_no_holder_sets() {
+        let mut h = Harness::new(1, ByzcastConfig::default());
+        let t = SimTime::from_secs(1);
+        let m = h.data_from(0, 1);
+        h.drive(t, |n, ctx| n.on_packet(ctx, NodeId(2), &WireMsg::Data(m)));
+        let g = GossipMsg::of_entries(vec![m.gossip_entry(), h.data_from(0, 2).gossip_entry()]);
+        h.drive(t, |n, ctx| n.on_packet(ctx, NodeId(3), &WireMsg::Gossip(g)));
+        assert!(h.node.store().has(m.id));
+        assert!(h.node.stability.is_none());
+    }
+
+    #[test]
+    fn repeated_suspicion_logs_two_episodes() {
+        let mut h = Harness::new(1, ByzcastConfig::default());
+        let t1 = SimTime::from_secs(1);
+        h.drive(t1, |n, ctx| {
+            n.suspect(t1, NodeId(9), SuspicionReason::BadSignature);
+            n.suspect(t1, NodeId(4), SuspicionReason::BadSignature);
+            n.fd_tick(ctx);
+        });
+        // Suspicions raised together open episodes in ascending node order.
+        let suspects: Vec<NodeId> = h
+            .node
+            .suspicion_log()
+            .episodes()
+            .iter()
+            .map(|ep| ep.suspect)
+            .collect();
+        assert_eq!(suspects, vec![NodeId(4), NodeId(9)]);
+        // Both expire together; node 9 is then suspected a second time.
+        let expiry = t1 + h.node.config().trust.suspicion_duration;
+        h.drive(expiry, |n, ctx| n.fd_tick(ctx));
+        let t2 = expiry + SimDuration::from_secs(1);
+        h.drive(t2, |n, ctx| {
+            n.suspect(t2, NodeId(9), SuspicionReason::BadSignature);
+            n.fd_tick(ctx);
+        });
+        let nine: Vec<_> = h
+            .node
+            .suspicion_log()
+            .episodes()
+            .iter()
+            .filter(|ep| ep.suspect == NodeId(9))
+            .map(|ep| (ep.start, ep.end))
+            .collect();
+        assert_eq!(nine, vec![(t1, expiry), (t2, SimTime::MAX)]);
+    }
+
+    #[test]
+    fn sorted_difference_walks_both_slices() {
+        let ids = |v: &[u32]| v.iter().map(|&i| NodeId(i)).collect::<Vec<_>>();
+        let diff = |a: &[u32], b: &[u32]| sorted_difference(&ids(a), &ids(b)).collect::<Vec<_>>();
+        assert_eq!(diff(&[1, 3, 5, 7], &[0, 3, 4, 7, 9]), ids(&[1, 5]));
+        assert_eq!(diff(&[2, 4], &[]), ids(&[2, 4]));
+        assert_eq!(diff(&[], &[1]), ids(&[]));
+        assert_eq!(diff(&[1, 2], &[1, 2]), ids(&[]));
+    }
+
+    #[test]
     fn store_cap_keeps_delivering_but_stops_advertising() {
         use crate::resources::ResourceConfig;
         let config = ByzcastConfig {
@@ -2445,6 +2598,25 @@ mod stability_tests {
             n.store().seen(m.id)
         });
         assert!(delivered_again);
+    }
+
+    #[test]
+    fn held_gossip_entries_still_record_holders() {
+        let (mut node, reg) = node_with_stability();
+        let t = SimTime::from_secs(1);
+        let m = DataMsg::sign(&reg.signer(SignerId(0)), 1, 7, 100);
+        drive(&mut node, t, |n, ctx| {
+            n.on_packet(ctx, NodeId(2), &WireMsg::Data(m))
+        });
+        // The echo below takes the one-probe path for advertised ids.
+        assert!(node.active_gossip.contains_key(&m.id));
+        let g = GossipMsg::of_entries(vec![m.gossip_entry()]);
+        drive(&mut node, t, |n, ctx| {
+            n.on_packet(ctx, NodeId(3), &WireMsg::Gossip(g))
+        });
+        let tracker = node.stability.as_ref().expect("built under its policy");
+        let holders: Vec<NodeId> = tracker.holders(m.id).collect();
+        assert_eq!(holders, vec![NodeId(0), NodeId(2), NodeId(3)]);
     }
 
     #[test]

@@ -14,7 +14,7 @@
 
 use std::collections::BTreeMap;
 
-use byzcast_sim::{NodeId, SimTime};
+use byzcast_sim::NodeId;
 
 use crate::message::MessageId;
 
@@ -34,6 +34,10 @@ pub enum PurgePolicy {
 /// Holder sets are sorted vectors (observations arrive hot, once per gossip
 /// entry per reception; a vector's binary-search insert beats a tree set at
 /// neighbourhood sizes, and iteration order stays ascending).
+///
+/// Its only reader is the [`PurgePolicy::Stability`] purge, so a node builds
+/// one only under that policy; under [`PurgePolicy::Timeout`] receptions pay
+/// no holder bookkeeping at all.
 #[derive(Debug, Default)]
 pub struct StabilityTracker {
     holders: BTreeMap<MessageId, Vec<NodeId>>,
@@ -74,12 +78,8 @@ impl StabilityTracker {
         self.holders.get(&id).into_iter().flatten().copied()
     }
 
-    /// Drops tracking state for `id` (call when the body is purged).
-    pub fn forget(&mut self, id: MessageId) {
-        self.holders.remove(&id);
-    }
-
-    /// Drops tracking state for every id not retained by `keep`.
+    /// Drops tracking state for every id not retained by `keep` (call after
+    /// purging bodies).
     pub fn retain(&mut self, mut keep: impl FnMut(MessageId) -> bool) {
         self.holders.retain(|&id, _| keep(id));
     }
@@ -94,9 +94,6 @@ impl StabilityTracker {
         self.holders.is_empty()
     }
 }
-
-/// Ensures `SimTime` stays imported if the backstop logic migrates here.
-const _: fn(SimTime) = |_| {};
 
 #[cfg(test)]
 mod tests {
@@ -133,7 +130,7 @@ mod tests {
         t.observe_holder(id(1), NodeId(6));
         assert_eq!(t.holders(id(1)).count(), 2);
         assert_eq!(t.len(), 1);
-        t.forget(id(1));
+        t.retain(|_| false);
         assert!(t.is_empty());
         assert_eq!(t.holders(id(1)).count(), 0);
     }

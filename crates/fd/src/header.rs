@@ -25,6 +25,14 @@ pub enum MsgKind {
 }
 
 impl MsgKind {
+    /// Number of message kinds (`Beacon` is the last variant).
+    pub const COUNT: usize = MsgKind::Beacon as usize + 1;
+
+    /// Dense index in `0..COUNT`, for per-kind tables.
+    pub const fn index(self) -> usize {
+        self as usize
+    }
+
     /// Short label for metrics and traces.
     pub const fn label(self) -> &'static str {
         match self {

@@ -168,14 +168,24 @@ impl TrustDetector {
 
     /// Nodes currently `Untrusted`, in id order.
     pub fn untrusted(&self, now: SimTime) -> Vec<NodeId> {
-        let mut out: Vec<NodeId> = self
-            .suspicions
-            .iter()
-            .filter(|(_, &(until, _))| until > now)
-            .map(|(&n, _)| n)
-            .collect();
-        out.sort_unstable();
+        let mut out = Vec::new();
+        self.untrusted_into(now, &mut out);
         out
+    }
+
+    /// Replaces the contents of `out` with [`untrusted`]'s, reusing its
+    /// allocation (for callers that poll every tick).
+    ///
+    /// [`untrusted`]: TrustDetector::untrusted
+    pub fn untrusted_into(&self, now: SimTime, out: &mut Vec<NodeId>) {
+        out.clear();
+        out.extend(
+            self.suspicions
+                .iter()
+                .filter(|(_, &(until, _))| until > now)
+                .map(|(&n, _)| n),
+        );
+        out.sort_unstable();
     }
 
     /// Total suspicions raised against `node` for `reason` (diagnostic).
@@ -208,6 +218,9 @@ mod tests {
         d.suspect(t, NodeId(1), SuspicionReason::BadSignature);
         assert_eq!(d.level(NodeId(1), t), TrustLevel::Untrusted);
         assert_eq!(d.untrusted(t), vec![NodeId(1)]);
+        let mut buf = vec![NodeId(7)];
+        d.untrusted_into(t, &mut buf);
+        assert_eq!(buf, vec![NodeId(1)]);
         let later = t + SimDuration::from_secs(11);
         d.tick(later);
         assert_eq!(d.level(NodeId(1), later), TrustLevel::Trusted);

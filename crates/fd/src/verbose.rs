@@ -53,8 +53,12 @@ pub struct VerboseDetector {
     config: VerboseConfig,
     counters: HashMap<NodeId, u32>,
     suspicions: HashMap<NodeId, SimTime>,
-    min_spacing: HashMap<MsgKind, SimDuration>,
-    last_arrival: HashMap<(NodeId, MsgKind), SimTime>,
+    /// Minimum-spacing rule per kind, indexed by [`MsgKind::index`].
+    min_spacing: [Option<SimDuration>; MsgKind::COUNT],
+    /// Last arrival per neighbour, sorted by id, one slot per kind (only
+    /// kinds with a spacing rule are ever written). Arrivals are the most
+    /// frequent VERBOSE input, so this avoids hashing on every one.
+    last_arrival: Vec<(NodeId, [Option<SimTime>; MsgKind::COUNT])>,
     last_decay: SimTime,
     /// Total indictments per node over the whole run (diagnostic; not aged).
     indict_counts: HashMap<NodeId, u64>,
@@ -70,8 +74,8 @@ impl VerboseDetector {
             config,
             counters: HashMap::new(),
             suspicions: HashMap::new(),
-            min_spacing: HashMap::new(),
-            last_arrival: HashMap::new(),
+            min_spacing: [None; MsgKind::COUNT],
+            last_arrival: Vec::new(),
             last_decay: SimTime::ZERO,
             indict_counts: HashMap::new(),
             quota_violations: HashMap::new(),
@@ -87,7 +91,7 @@ impl VerboseDetector {
     /// together than `spacing` constitute a verbose fault. Typically invoked
     /// at initialization time.
     pub fn set_min_spacing(&mut self, kind: MsgKind, spacing: SimDuration) {
-        self.min_spacing.insert(kind, spacing);
+        self.min_spacing[kind.index()] = Some(spacing);
     }
 
     /// Indicts `node` for sending too many messages of some type.
@@ -131,15 +135,20 @@ impl VerboseDetector {
         // Arrival times are only ever compared against a spacing rule, so
         // kinds without one need no tracking at all (rules are registered at
         // initialization time, before any arrivals).
-        let Some(&spacing) = self.min_spacing.get(&kind) else {
+        let Some(spacing) = self.min_spacing[kind.index()] else {
             return;
         };
-        if let Some(&prev) = self.last_arrival.get(&(node, kind)) {
-            if now.saturating_since(prev) < spacing {
-                self.indict(now, node);
+        let i = match self.last_arrival.binary_search_by_key(&node, |&(n, _)| n) {
+            Ok(i) => i,
+            Err(i) => {
+                self.last_arrival.insert(i, (node, [None; MsgKind::COUNT]));
+                i
             }
+        };
+        let prev = self.last_arrival[i].1[kind.index()].replace(now);
+        if prev.is_some_and(|prev| now.saturating_since(prev) < spacing) {
+            self.indict(now, node);
         }
-        self.last_arrival.insert((node, kind), now);
     }
 
     /// Ages counters down and expires old suspicions.
@@ -306,6 +315,78 @@ mod tests {
         }
         assert_eq!(fd.indict_count(NodeId(4)), 0);
         assert!(!fd.is_suspected(NodeId(4), t));
+    }
+
+    #[test]
+    fn interleaved_arrivals_indict_exactly_the_close_ones() {
+        let mut fd = VerboseDetector::new(config());
+        let rules = [
+            (MsgKind::Gossip, SimDuration::from_millis(300)),
+            (MsgKind::Beacon, SimDuration::from_millis(900)),
+        ];
+        for (kind, spacing) in rules {
+            fd.set_min_spacing(kind, spacing);
+        }
+        let kinds = [
+            MsgKind::Gossip,
+            MsgKind::Beacon,
+            MsgKind::Data,
+            MsgKind::RequestMsg,
+        ];
+        // Reference model: the last ruled arrival per (node, kind).
+        let mut last: HashMap<(NodeId, MsgKind), SimTime> = HashMap::new();
+        let mut expected: HashMap<NodeId, u64> = HashMap::new();
+        let mut repeats = 0u64;
+        let mut lcg = 0x2545_f491_4f6c_dd1du64;
+        let mut next = |bound: u64| {
+            lcg = lcg
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (lcg >> 33) % bound
+        };
+        let mut now = SimTime::from_secs(1);
+        for _ in 0..4000 {
+            now += SimDuration::from_micros(next(4000));
+            // Neighbours arrive in random id order, so the sorted table
+            // gains rows at every position.
+            let node = NodeId(1000 - 7 * next(48) as u32);
+            let kind = kinds[next(kinds.len() as u64) as usize];
+            fd.observe_arrival(now, node, kind);
+            if let Some(&(_, spacing)) = rules.iter().find(|(k, _)| *k == kind) {
+                if let Some(prev) = last.insert((node, kind), now) {
+                    repeats += 1;
+                    if now.saturating_since(prev) < spacing {
+                        *expected.entry(node).or_default() += 1;
+                    }
+                }
+            }
+        }
+        let nodes: Vec<NodeId> = {
+            let mut v: Vec<NodeId> = last.keys().map(|&(n, _)| n).collect();
+            v.sort_unstable();
+            v.dedup();
+            v
+        };
+        assert!(nodes.len() >= 40, "only {} neighbours", nodes.len());
+        // The schedule mixes both outcomes: some repeats come too close,
+        // others are spaced far enough.
+        let close: u64 = expected.values().sum();
+        assert!(0 < close && close < repeats, "{close} of {repeats}");
+        for &n in &nodes {
+            assert_eq!(
+                fd.indict_count(n),
+                expected.get(&n).copied().unwrap_or(0),
+                "{n:?}"
+            );
+        }
+        // One row per neighbour with a ruled arrival, sorted by id; the
+        // kinds without a rule never occupy a slot.
+        let rows: Vec<NodeId> = fd.last_arrival.iter().map(|&(n, _)| n).collect();
+        assert_eq!(rows, nodes);
+        for (_, slots) in &fd.last_arrival {
+            assert!(slots[MsgKind::Data.index()].is_none());
+            assert!(slots[MsgKind::RequestMsg.index()].is_none());
+        }
     }
 
     #[test]
