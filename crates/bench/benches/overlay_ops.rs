@@ -35,10 +35,14 @@ fn random_table(n: usize, side: f64, range: f64, seed: u64) -> NeighborTable {
             OverlayRole::Passive
         };
         let dom: Vec<NodeId> = qn.iter().copied().filter(|x| x.0 % 2 == 0).collect();
-        table.record_beacon(now, q, role, qn, dom);
+        table.record_beacon(now, q, role, &qn, &dom);
     }
     table
 }
+
+/// A seed whose 180-node graph gives node 0 the `mute-mobile` shape, with
+/// no cover among the coverers (so pruning weighs every one and every pair).
+const MUTE_MOBILE_SEED: u64 = 139;
 
 fn bench_decide(c: &mut Criterion) {
     let trust = MapTrust::default();
@@ -52,6 +56,17 @@ fn bench_decide(c: &mut Criterion) {
             b.iter(|| black_box(MisBridges.decide(NodeId(0), table, &trust)))
         });
     }
+    // The neighbourhood behind the `mute-mobile` workload's overlay cost:
+    // 35 neighbours, 18 of them marked coverers with higher ids (node 0 is
+    // the lowest id; even ids advertise marked).
+    let table = random_table(180, 1000.0, 250.0, MUTE_MOBILE_SEED);
+    let coverers = table.iter().filter(|(_, i)| i.marked).count();
+    assert_eq!((table.len(), coverers), (35, 18), "mute-mobile shape");
+    group.bench_with_input(
+        BenchmarkId::new("cds", "mute-mobile-shape"),
+        &table,
+        |b, table| b.iter(|| black_box(Cds.decide(NodeId(0), table, &trust))),
+    );
     group.finish();
 }
 
@@ -65,8 +80,8 @@ fn bench_table_ops(c: &mut Criterion) {
                     SimTime::from_millis(i * 10),
                     NodeId((i % 30) as u32),
                     OverlayRole::Dominator,
-                    nbrs.iter().copied(),
-                    [],
+                    &nbrs,
+                    &[],
                 );
             }
             t.prune(SimTime::from_secs(2));

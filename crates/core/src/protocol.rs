@@ -949,8 +949,8 @@ impl ByzcastNode {
             from,
             b.role,
             b.marked,
-            b.neighbors.iter().copied(),
-            b.dominator_neighbors.iter().copied(),
+            &b.neighbors,
+            &b.dominator_neighbors,
         );
         // Second-hand suspicion reports ("a node that suspects one of its
         // neighbors should notify its other neighbors about this suspicion").

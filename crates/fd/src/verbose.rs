@@ -55,10 +55,13 @@ pub struct VerboseDetector {
     suspicions: HashMap<NodeId, SimTime>,
     /// Minimum-spacing rule per kind, indexed by [`MsgKind::index`].
     min_spacing: [Option<SimDuration>; MsgKind::COUNT],
-    /// Last arrival per neighbour, sorted by id, one slot per kind (only
-    /// kinds with a spacing rule are ever written). Arrivals are the most
-    /// frequent VERBOSE input, so this avoids hashing on every one.
-    last_arrival: Vec<(NodeId, [Option<SimTime>; MsgKind::COUNT])>,
+    /// Neighbours with a ruled arrival, ascending. Arrivals are the most
+    /// frequent VERBOSE input, so lookups binary-search this dense id array
+    /// instead of hashing or striding over the wider slots.
+    arrival_ids: Vec<NodeId>,
+    /// `last_arrival[i]` holds `arrival_ids[i]`'s last arrival per kind
+    /// (only kinds with a spacing rule are ever written).
+    last_arrival: Vec<[Option<SimTime>; MsgKind::COUNT]>,
     last_decay: SimTime,
     /// Total indictments per node over the whole run (diagnostic; not aged).
     indict_counts: HashMap<NodeId, u64>,
@@ -75,6 +78,7 @@ impl VerboseDetector {
             counters: HashMap::new(),
             suspicions: HashMap::new(),
             min_spacing: [None; MsgKind::COUNT],
+            arrival_ids: Vec::new(),
             last_arrival: Vec::new(),
             last_decay: SimTime::ZERO,
             indict_counts: HashMap::new(),
@@ -138,14 +142,15 @@ impl VerboseDetector {
         let Some(spacing) = self.min_spacing[kind.index()] else {
             return;
         };
-        let i = match self.last_arrival.binary_search_by_key(&node, |&(n, _)| n) {
+        let i = match self.arrival_ids.binary_search(&node) {
             Ok(i) => i,
             Err(i) => {
-                self.last_arrival.insert(i, (node, [None; MsgKind::COUNT]));
+                self.arrival_ids.insert(i, node);
+                self.last_arrival.insert(i, [None; MsgKind::COUNT]);
                 i
             }
         };
-        let prev = self.last_arrival[i].1[kind.index()].replace(now);
+        let prev = self.last_arrival[i][kind.index()].replace(now);
         if prev.is_some_and(|prev| now.saturating_since(prev) < spacing) {
             self.indict(now, node);
         }
@@ -381,9 +386,9 @@ mod tests {
         }
         // One row per neighbour with a ruled arrival, sorted by id; the
         // kinds without a rule never occupy a slot.
-        let rows: Vec<NodeId> = fd.last_arrival.iter().map(|&(n, _)| n).collect();
-        assert_eq!(rows, nodes);
-        for (_, slots) in &fd.last_arrival {
+        assert_eq!(fd.arrival_ids, nodes);
+        assert_eq!(fd.last_arrival.len(), nodes.len());
+        for slots in &fd.last_arrival {
             assert!(slots[MsgKind::Data.index()].is_none());
             assert!(slots[MsgKind::RequestMsg.index()].is_none());
         }

@@ -178,7 +178,7 @@ mod tests {
                 .into_iter()
                 .filter(|n| role_of(n.0) == OverlayRole::Dominator)
                 .collect();
-            t.record_beacon(now, q, role_of(q.0), neighbors_of(q.0), dom_nbrs);
+            t.record_beacon(now, q, role_of(q.0), &neighbors_of(q.0), &dom_nbrs);
         }
         t
     }

@@ -52,14 +52,7 @@ impl Rig {
                 .copied()
                 .filter(|x| self.roles[x.index()] == OverlayRole::Dominator)
                 .collect();
-            t.record_beacon_marked(
-                now,
-                q,
-                self.roles[qi],
-                self.marked[qi],
-                self.adj[qi].iter().copied(),
-                dom,
-            );
+            t.record_beacon_marked(now, q, self.roles[qi], self.marked[qi], &self.adj[qi], &dom);
         }
         t
     }
