@@ -1,24 +1,18 @@
-//! PR-2 acceptance benchmark: optimized vs. pre-PR engine, plus crypto
-//! micro-numbers, written to `BENCH_sim.json`.
+//! Engine and crypto benchmark, written to `BENCH_sim.json`.
 //!
 //! The macro point is the R5 overlay scenario (byzcast, static uniform
 //! placement, the standard quick workload) at an n ≥ 200 sweep point with
 //! the field scaled to hold R5's density constant (80 nodes per
-//! 1000 m × 1000 m), so the comparison stresses per-event bookkeeping
-//! rather than congestion collapse. "Naive" disables the spatial index and
-//! the signature cache; the two runs are asserted to deliver identically
-//! before any time is reported.
+//! 1000 m × 1000 m), so the run stresses per-event bookkeeping rather than
+//! congestion collapse. The JSON records the median wall time with the
+//! run's deterministic work counts (frames, collisions, signature-cache
+//! hits and misses) next to crypto micro-numbers. That the engine's
+//! spatial grids and the signature cache change no result is pinned by
+//! `tests/golden_digests.rs`, not measured here.
 //!
-//! Flags-off still benefits from this PR's unconditional wins (HMAC pad
-//! midstates, fixed-base tables, overlay data-structure changes), so the
-//! honest against-the-pre-PR-engine number is measured from a `git worktree`
-//! of the pre-PR commit running the identical scenario (see
-//! `README.md` § Benchmarking) and passed in via `--pre-pr-ms`; the JSON
-//! records both comparisons.
-//!
-//! Usage: `bench_sim [--quick] [--n N] [--pre-pr-ms MS] [--out PATH]`
-//! (default `BENCH_sim.json`). `--quick` shrinks the point for CI smoke
-//! runs; the committed JSON comes from a full run.
+//! Usage: `bench_sim [--quick] [--n N] [--out PATH]` (default
+//! `BENCH_sim.json`). `--quick` shrinks the point for CI smoke runs; the
+//! committed JSON comes from a full run.
 
 use std::time::Instant;
 
@@ -39,19 +33,16 @@ fn density_preserving_field(n: usize) -> Field {
     Field::new(side, side)
 }
 
-fn scenario(n: usize, spatial: bool, cache: bool) -> ScenarioConfig {
-    let mut config = ScenarioConfig {
+fn scenario(n: usize) -> ScenarioConfig {
+    ScenarioConfig {
         seed: 1,
         n,
         sim: SimConfig {
             field: density_preserving_field(n),
-            spatial_index: spatial,
             ..SimConfig::default()
         },
         ..ScenarioConfig::default()
-    };
-    config.byzcast.sig_cache_capacity = if cache { 512 } else { 0 };
-    config
+    }
 }
 
 /// Runs the point once, returning (wall ms, summary).
@@ -87,17 +78,12 @@ fn ns_per_call(iters: u64, mut f: impl FnMut()) -> f64 {
 
 fn main() {
     let mut quick = false;
-    let mut matrix = false;
-    let mut only: Option<String> = None;
-    let mut pre_pr_ms: Option<f64> = None;
     let mut n_override: Option<usize> = None;
     let mut out = String::from("BENCH_sim.json");
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--quick" | "-q" => quick = true,
-            "--matrix" => matrix = true,
-            "--only" => only = Some(args.next().expect("--only needs a value")),
             "--n" => {
                 n_override = Some(
                     args.next()
@@ -106,49 +92,12 @@ fn main() {
                         .expect("--n must be an integer"),
                 )
             }
-            "--pre-pr-ms" => {
-                pre_pr_ms = Some(
-                    args.next()
-                        .expect("--pre-pr-ms needs a value")
-                        .parse()
-                        .expect("--pre-pr-ms must be a number"),
-                )
-            }
             "--out" => out = args.next().expect("--out needs a value"),
             other => panic!("unknown argument: {other}"),
         }
     }
 
-    if matrix {
-        // Diagnostic: attribute the speedup to each layer separately.
-        let n = n_override.unwrap_or(if quick { 120 } else { 320 });
-        let w = default_workload(&ExpOpts {
-            quick: true,
-            ..ExpOpts::default()
-        });
-        for (label, spatial, cache) in [
-            ("naive", false, false),
-            ("spatial", true, false),
-            ("cache", false, true),
-            ("both", true, true),
-        ] {
-            if only.as_deref().is_some_and(|o| o != label) {
-                continue;
-            }
-            let repeats = if only.is_some() { 5 } else { 1 };
-            for _ in 1..repeats {
-                timed_run(&scenario(n, spatial, cache), &w);
-            }
-            let (ms, s) = timed_run(&scenario(n, spatial, cache), &w);
-            eprintln!(
-                "{label:<16} {ms:9.0} ms  (delivery {:.3}, frames {})",
-                s.delivery_ratio, s.frames_sent
-            );
-        }
-        return;
-    }
-
-    // --- Macro benchmark: full byzcast run, optimized vs pre-PR engine ---
+    // --- Macro benchmark: one full byzcast run ---
     let n = n_override.unwrap_or(if quick { 120 } else { 320 });
     let workload = default_workload(&ExpOpts {
         quick: true, // 40-message stream; the point is engine cost, not load
@@ -161,37 +110,13 @@ fn main() {
     );
 
     let repeats = if quick { 3 } else { 5 };
-    let (optimized_ms, optimized) = median_run(&scenario(n, true, true), &workload, repeats);
+    let (engine_ms, run) = median_run(&scenario(n), &workload, repeats);
     eprintln!(
-        "  optimized: {optimized_ms:9.0} ms  (delivery {:.3})",
-        optimized.delivery_ratio
-    );
-    let (naive_ms, naive) = median_run(&scenario(n, false, false), &workload, repeats);
-    eprintln!(
-        "  naive:     {naive_ms:9.0} ms  (delivery {:.3})",
-        naive.delivery_ratio
+        "  median:    {engine_ms:9.0} ms  (delivery {:.3})",
+        run.delivery_ratio
     );
 
-    // The speedup is only meaningful if the two engines agree. Counters
-    // differ in the cache's own hit/miss observability; every simulation
-    // quantity must match (the differential test in tests/perf_equivalence.rs
-    // checks full byte-identity).
-    assert_eq!(
-        naive.delivery_ratio, optimized.delivery_ratio,
-        "engines diverged"
-    );
-    assert_eq!(naive.frames_sent, optimized.frames_sent, "engines diverged");
-    assert_eq!(naive.collisions, optimized.collisions, "engines diverged");
-    let speedup = naive_ms / optimized_ms;
-    eprintln!("  speedup:   {speedup:9.2}x (vs flags-off in this tree)");
-    if let Some(pre) = pre_pr_ms {
-        eprintln!(
-            "  vs pre-PR: {:9.2}x ({pre:.0} ms baseline)",
-            pre / optimized_ms
-        );
-    }
-
-    let cache = optimized
+    let cache = run
         .counters
         .as_ref()
         .map(|c| (c.sig_cache_hits, c.sig_cache_misses));
@@ -230,17 +155,10 @@ fn main() {
         .u64("n", n as u64)
         .f64("field_m", field.width)
         .u64("messages", workload.count as u64)
-        .u64("collisions", optimized.collisions)
-        .f64("naive_ms", naive_ms)
-        .f64("optimized_ms", optimized_ms)
-        .f64("speedup", speedup)
-        .f64("delivery_ratio", optimized.delivery_ratio)
-        .u64("frames_sent", optimized.frames_sent);
-    if let Some(pre) = pre_pr_ms {
-        engine
-            .f64("pre_pr_ms", pre)
-            .f64("speedup_vs_pre_pr", pre / optimized_ms);
-    }
+        .u64("collisions", run.collisions)
+        .f64("median_ms", engine_ms)
+        .f64("delivery_ratio", run.delivery_ratio)
+        .u64("frames_sent", run.frames_sent);
     if let Some((hits, misses)) = cache {
         engine
             .u64("sig_cache_hits", hits)

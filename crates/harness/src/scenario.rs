@@ -313,19 +313,17 @@ impl ScenarioConfig {
 
     /// One verifier instance **per run**, shared by every node: a single
     /// bounded signature-verification cache (sized by
-    /// `ByzcastConfig::sig_cache_capacity`; `0` means a bare shared-keyset
-    /// verifier). Verification is a pure function of
+    /// `ByzcastConfig::sig_cache_capacity`; at `0` it passes every call
+    /// through uncached). Verification is a pure function of
     /// `(signer, data, signature)`, so sharing the cache across nodes cannot
     /// change any verdict — results stay bit-identical — while a frame heard
     /// by many neighbours is verified once for the whole run instead of once
     /// per receiver.
     fn make_verifier(&self, keys: &KeyRegistry<SimScheme>) -> Arc<dyn Verifier + Send + Sync> {
-        let capacity = self.byzcast.sig_cache_capacity;
-        if capacity > 0 {
-            Arc::new(CachingVerifier::new(keys.verifier(), capacity))
-        } else {
-            Arc::new(keys.verifier())
-        }
+        Arc::new(CachingVerifier::new(
+            keys.verifier(),
+            self.byzcast.sig_cache_capacity,
+        ))
     }
 
     /// Byzcast and flooding (both speak `WireMsg`).

@@ -46,12 +46,6 @@ pub struct SimConfig {
     pub mobility_tick: SimDuration,
     /// Trace ring-buffer capacity; zero disables tracing.
     pub trace_capacity: usize,
-    /// Index node positions and in-flight transmissions in uniform spatial
-    /// grids so `TxEnd` resolution probes only nearby entities instead of
-    /// scanning all of them. Results are bit-identical either way (the grid
-    /// is a conservative pre-filter for the exact same geometric predicates);
-    /// `false` keeps the naive O(n) scans, mainly for differential testing.
-    pub spatial_index: bool,
 }
 
 impl Default for SimConfig {
@@ -63,7 +57,6 @@ impl Default for SimConfig {
             mac: MacConfig::default(),
             mobility_tick: SimDuration::from_millis(200),
             trace_capacity: 0,
-            spatial_index: true,
         }
     }
 }
@@ -240,17 +233,12 @@ impl<M: Message> SimBuilder<M> {
         // Cell size = the audible radius: a radius-r query then touches at
         // most a 3 × 3 block of cells. A floor on the cell size caps the
         // grid at a sane cell count whatever the radio range. Any positive
-        // cell size is correct — the grid is only a conservative pre-filter.
-        let (grid, tx_grid) = if self.config.spatial_index && audible_radius > 0.0 {
-            let field = &self.config.field;
-            let cell = audible_radius.max(field.width.max(field.height) / 128.0);
-            (
-                Some(NodeGrid::new(field, cell, &positions)),
-                Some(TxGrid::new(field, cell)),
-            )
-        } else {
-            (None, None)
-        };
+        // cell size is correct — the grid is only a conservative pre-filter
+        // (`RadioConfig::validate` guarantees a finite positive radius).
+        let field = &self.config.field;
+        let cell = audible_radius.max(field.width.max(field.height) / 128.0);
+        let grid = NodeGrid::new(field, cell, &positions);
+        let tx_grid = TxGrid::new(field, cell);
         Simulator {
             metrics: Metrics::new(n),
             timers: vec![Vec::new(); n],
@@ -323,13 +311,13 @@ pub struct Simulator<M: Message> {
     /// Audible (carrier-sense) radius, cached from the radio model: the
     /// radius of every spatial query the engine makes.
     audible_radius: f64,
-    /// Node-position grid; `None` when `spatial_index` is off.
-    grid: Option<NodeGrid>,
-    /// In-flight-transmission grid; `None` when `spatial_index` is off.
-    tx_grid: Option<TxGrid>,
+    /// Node-position grid: the candidate receivers of a transmission.
+    grid: NodeGrid,
+    /// In-flight-transmission grid: the carrier-sense and interference
+    /// probes.
+    tx_grid: TxGrid,
     /// Per-node `(start, end)` intervals of that node's own transmissions
-    /// still in `active_tx` (maintained only when the spatial index is on):
-    /// half-duplex and own-carrier checks must not depend on the node's
+    /// still in `active_tx`: half-duplex and own-carrier checks must not depend on the node's
     /// *current* position, so they cannot go through the grids.
     tx_log: Vec<VecDeque<(SimTime, SimTime)>>,
     /// Scratch buffer for grid candidate queries (reused across events).
@@ -509,9 +497,7 @@ impl<M: Message + 'static> Simulator<M> {
                     &self.config.field,
                     &mut self.mobility_rng,
                 );
-                if let Some(grid) = &mut self.grid {
-                    grid.refresh(&self.positions);
-                }
+                self.grid.refresh(&self.positions);
                 self.queue.push(self.now + tick, EventKind::MobilityTick);
             }
             EventKind::Fault { index } => self.handle_fault(index),
@@ -703,15 +689,6 @@ impl<M: Message + 'static> Simulator<M> {
     /// (its own transmission or any audible ongoing one); `None` if idle.
     fn medium_busy_until(&self, node: NodeId) -> Option<SimTime> {
         let pos = self.positions[node.index()];
-        let Some(tx_grid) = &self.tx_grid else {
-            return self
-                .active_tx
-                .iter()
-                .filter(|t| t.end > self.now)
-                .filter(|t| t.src == node || self.radio.audible(&t.src_pos, &pos))
-                .map(|t| t.end)
-                .max();
-        };
         // Own transmissions come from the per-node log — the node may have
         // moved since it transmitted, so the grid probe below (which is
         // anchored at the *current* position) cannot be trusted to find
@@ -722,11 +699,12 @@ impl<M: Message + 'static> Simulator<M> {
             .filter(|&&(_, end)| end > self.now)
             .map(|&(_, end)| end)
             .max();
-        tx_grid.for_each_within(&pos, self.audible_radius, |t| {
-            if t.end > self.now && self.radio.audible(&t.src_pos, &pos) {
-                busy = Some(busy.map_or(t.end, |b| b.max(t.end)));
-            }
-        });
+        self.tx_grid
+            .for_each_within(&pos, self.audible_radius, |t| {
+                if t.end > self.now && self.radio.audible(&t.src_pos, &pos) {
+                    busy = Some(busy.map_or(t.end, |b| b.max(t.end)));
+                }
+            });
         busy
     }
 
@@ -768,30 +746,28 @@ impl<M: Message + 'static> Simulator<M> {
         self.tx_counter += 1;
         let src_pos = self.positions[node.index()];
         let end = self.now + air;
-        if let Some(tx_grid) = &mut self.tx_grid {
-            tx_grid.insert(TxEntry {
-                id,
-                start: self.now,
-                end,
-                src: node.0,
-                src_pos,
-            });
-            // Prune this node's own log here, where it is already touched,
-            // rather than sweeping all n logs on every transmission end.
-            // Entries older than two max-air-times cannot overlap any
-            // current or future transmission (see `handle_tx_end`), so
-            // leftovers on nodes that stop transmitting are inert.
-            let keep_after = SimTime::from_micros(
-                self.now
-                    .as_micros()
-                    .saturating_sub(2 * self.max_air_time.as_micros()),
-            );
-            let log = &mut self.tx_log[node.index()];
-            while log.front().is_some_and(|&(_, e)| e < keep_after) {
-                log.pop_front();
-            }
-            log.push_back((self.now, end));
+        self.tx_grid.insert(TxEntry {
+            id,
+            start: self.now,
+            end,
+            src: node.0,
+            src_pos,
+        });
+        // Prune this node's own log here, where it is already touched,
+        // rather than sweeping all n logs on every transmission end.
+        // Entries older than two max-air-times cannot overlap any current
+        // or future transmission (see `handle_tx_end`), so leftovers on
+        // nodes that stop transmitting are inert.
+        let keep_after = SimTime::from_micros(
+            self.now
+                .as_micros()
+                .saturating_sub(2 * self.max_air_time.as_micros()),
+        );
+        let log = &mut self.tx_log[node.index()];
+        while log.front().is_some_and(|&(_, e)| e < keep_after) {
+            log.pop_front();
         }
+        log.push_back((self.now, end));
         self.active_tx.push(Transmission {
             id,
             src: node,
@@ -822,18 +798,13 @@ impl<M: Message + 'static> Simulator<M> {
         // transmission, which the MAC never produces).
         self.mac[src.index()].set_transmitting(false);
 
-        // Candidate receivers: with the grid, a conservative superset of the
-        // audible disk in ascending id order — exactly the order and (after
-        // the `audible` filter below) exactly the set the naive 0..n scan
-        // visits, so both paths consume per-node RNG streams identically.
+        // Candidate receivers: a conservative superset of the audible disk
+        // in ascending id order — after the `audible` filter below, exactly
+        // the receivers an ascending 0..n scan would visit, in that order,
+        // so per-node RNG streams are consumed in a fixed order.
         let mut candidates = std::mem::take(&mut self.candidate_buf);
-        match &mut self.grid {
-            Some(grid) => grid.candidates_within(&src_pos, self.audible_radius, &mut candidates),
-            None => {
-                candidates.clear();
-                candidates.extend(0..self.nodes.len() as u32);
-            }
-        }
+        self.grid
+            .candidates_within(&src_pos, self.audible_radius, &mut candidates);
 
         // Potential interferers, collected ONCE per transmission end rather
         // than probed per receiver: every receiver q lies within the audible
@@ -842,16 +813,15 @@ impl<M: Message + 'static> Simulator<M> {
         // of radius 2r around src sees a superset of every interferer any
         // receiver can hear. The time-overlap and id filters are
         // receiver-independent and applied here; the receiver-dependent
-        // `audible`/`captures` predicates below are exactly the naive ones.
+        // `audible`/`captures` predicates are applied per receiver below.
         let mut overlaps = std::mem::take(&mut self.overlap_buf);
         overlaps.clear();
-        if let Some(tx_grid) = &self.tx_grid {
-            tx_grid.for_each_within(&src_pos, 2.0 * self.audible_radius, |t| {
+        self.tx_grid
+            .for_each_within(&src_pos, 2.0 * self.audible_radius, |t| {
                 if t.id != tx_id && t.start < end && t.end > start {
                     overlaps.push((NodeId(t.src), t.src_pos));
                 }
             });
-        }
 
         for &q_raw in &candidates {
             let qi = q_raw as usize;
@@ -868,14 +838,7 @@ impl<M: Message + 'static> Simulator<M> {
             }
             // Half-duplex: q cannot receive while itself transmitting. The
             // per-node log holds exactly q's own entries of `active_tx`.
-            let q_was_transmitting = if self.tx_grid.is_some() {
-                self.tx_log[qi].iter().any(|&(s, e)| s < end && e > start)
-            } else {
-                self.active_tx
-                    .iter()
-                    .any(|t| t.src == q && t.start < end && t.end > start)
-            };
-            if q_was_transmitting {
+            if self.tx_log[qi].iter().any(|&(s, e)| s < end && e > start) {
                 self.metrics.record_half_duplex_loss();
                 continue;
             }
@@ -883,24 +846,13 @@ impl<M: Message + 'static> Simulator<M> {
             // audible at q corrupts this reception — unless the signal
             // captures over the interferer (much closer transmitter). The
             // pre-collected overlap set is a superset of the audible
-            // transmitters at every receiver; the exact naive predicate is
-            // re-applied per receiver.
-            let collided = if self.tx_grid.is_some() {
-                overlaps.iter().any(|&(t_src, t_pos)| {
-                    t_src != q
-                        && self.radio.audible(&t_pos, &q_pos)
-                        && !self.radio.captures(&src_pos, &t_pos, &q_pos)
-                })
-            } else {
-                self.active_tx.iter().any(|t| {
-                    t.id != tx_id
-                        && t.src != q
-                        && t.start < end
-                        && t.end > start
-                        && self.radio.audible(&t.src_pos, &q_pos)
-                        && !self.radio.captures(&src_pos, &t.src_pos, &q_pos)
-                })
-            };
+            // transmitters at every receiver; the exact predicate is applied
+            // per receiver.
+            let collided = overlaps.iter().any(|&(t_src, t_pos)| {
+                t_src != q
+                    && self.radio.audible(&t_pos, &q_pos)
+                    && !self.radio.captures(&src_pos, &t_pos, &q_pos)
+            });
             if collided {
                 self.metrics.record_collision(q);
                 self.trace
@@ -957,9 +909,7 @@ impl<M: Message + 'static> Simulator<M> {
         self.active_tx.retain(|t| {
             let keep = t.end >= keep_after;
             if !keep {
-                if let Some(tx_grid) = tx_grid {
-                    tx_grid.remove(t.id, &t.src_pos);
-                }
+                tx_grid.remove(t.id, &t.src_pos);
             }
             keep
         });
@@ -1492,60 +1442,6 @@ mod more_tests {
         assert!(sim.radio().config().range_m > 0.0);
         assert_eq!(sim.positions().len(), 1);
         assert_eq!(sim.position(NodeId(0)), sim.positions()[0]);
-    }
-}
-
-#[cfg(test)]
-mod spatial_differential_tests {
-    use super::tests::Flooder;
-    use super::*;
-    use crate::mobility::RandomWaypoint;
-
-    /// A mid-size mobile scenario with fading, background noise and real
-    /// contention, run to completion, returning the full metrics.
-    fn run(seed: u64, spatial_index: bool) -> Metrics {
-        let config = SimConfig {
-            seed,
-            spatial_index,
-            radio: RadioConfig::default(),
-            mobility_tick: SimDuration::from_millis(100),
-            ..SimConfig::default()
-        };
-        let mut sim = SimBuilder::new(config)
-            .with_mobility(Box::new(RandomWaypoint::new(
-                1.0,
-                15.0,
-                SimDuration::from_secs(1),
-            )))
-            .with_nodes(60, Flooder::boxed)
-            .build();
-        for k in 0..8u64 {
-            sim.schedule_app_broadcast(
-                SimDuration::from_millis(10 + k * 400),
-                NodeId((k * 7 % 60) as u32),
-                k,
-                512,
-            );
-        }
-        sim.run_for(SimDuration::from_secs(8));
-        sim.metrics().clone()
-    }
-
-    /// The tentpole guarantee: the spatial index changes nothing observable.
-    /// Every counter, every delivery record (node, origin, payload, time),
-    /// every per-node metric is bit-identical for several seeds on a mobile
-    /// scenario — i.e. per-node RNG streams were consumed identically.
-    #[test]
-    fn grid_path_is_bit_identical_to_naive_scan() {
-        for seed in [1, 2, 3] {
-            let naive = run(seed, false);
-            let indexed = run(seed, true);
-            assert!(
-                !indexed.deliveries.is_empty() && indexed.frames_sent > 100,
-                "scenario too trivial to be convincing (seed {seed})"
-            );
-            assert_eq!(naive, indexed, "seed {seed} diverged");
-        }
     }
 }
 

@@ -75,8 +75,11 @@ impl RadioConfig {
     /// Validates the configuration, returning a description of the first
     /// problem found.
     pub fn validate(&self) -> Result<(), String> {
-        if self.range_m.is_nan() || self.range_m <= 0.0 {
-            return Err(format!("range_m must be positive, got {}", self.range_m));
+        if !(self.range_m > 0.0 && self.range_m.is_finite()) {
+            return Err(format!(
+                "range_m must be positive and finite, got {}",
+                self.range_m
+            ));
         }
         if !(0.0..1.0).contains(&self.fading_fraction) {
             return Err(format!(
@@ -90,10 +93,17 @@ impl RadioConfig {
                 self.background_loss
             ));
         }
-        if self.carrier_sense_factor < 1.0 {
+        if !(self.carrier_sense_factor >= 1.0 && self.carrier_sense_factor.is_finite()) {
             return Err(format!(
-                "carrier_sense_factor must be >= 1, got {}",
+                "carrier_sense_factor must be finite and >= 1, got {}",
                 self.carrier_sense_factor
+            ));
+        }
+        let audible_radius =
+            self.range_m * self.carrier_sense_factor * (1.0 + self.fading_fraction);
+        if !audible_radius.is_finite() {
+            return Err(format!(
+                "range_m * carrier_sense_factor overflows, got {audible_radius}"
             ));
         }
         if self.bitrate_bps == 0 {
@@ -338,6 +348,23 @@ mod tests {
         }
         .validate()
         .is_err());
+        // Non-finite geometry would break the spatial grids (an infinite
+        // cell size) or make every link silently inaudible (NaN compares
+        // false).
+        for range_m in [f64::INFINITY, f64::NAN, 0.0, -1.0, f64::MAX] {
+            let bad = RadioConfig { range_m, ..base };
+            assert!(bad.validate().is_err(), "range_m {range_m} accepted");
+        }
+        for carrier_sense_factor in [f64::NAN, f64::INFINITY] {
+            let bad = RadioConfig {
+                carrier_sense_factor,
+                ..base
+            };
+            assert!(
+                bad.validate().is_err(),
+                "carrier_sense_factor {carrier_sense_factor} accepted"
+            );
+        }
         assert!(base.validate().is_ok());
     }
 }

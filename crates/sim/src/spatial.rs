@@ -10,10 +10,11 @@
 //! Both indexes are **conservative**: a query returns a superset of the
 //! entities inside the query disk (everything in the overlapping cells), and
 //! the caller re-applies the exact geometric predicate. Because the engine
-//! filters candidates with the very same [`crate::radio::RadioModel::audible`]
-//! check the naive scan uses — and [`NodeGrid::candidates_within`] returns
-//! ids in ascending order, matching the naive `0..n` iteration — runs are
-//! bit-for-bit identical with and without the index.
+//! filters candidates with [`crate::radio::RadioModel::audible`] and
+//! [`NodeGrid::candidates_within`] returns ids in ascending order, a run
+//! visits exactly the receivers, in exactly the order, of a brute-force
+//! `0..n` scan. The property tests below check both facts against such a
+//! brute-force reference.
 
 use crate::geometry::{Field, Position};
 use crate::time::SimTime;
@@ -343,5 +344,154 @@ mod tests {
     #[should_panic(expected = "cell size must be positive")]
     fn zero_cell_size_panics() {
         let _ = NodeGrid::new(&Field::new(10.0, 10.0), 0.0, &[]);
+    }
+}
+
+/// Brute-force references for the two facts the engine relies on: the grid
+/// candidates, filtered by `audible`, are exactly an ascending `0..n`
+/// audible scan; and the radius-2r transmission sweep around a source sees
+/// every interferer audible at any of the source's receivers.
+#[cfg(test)]
+mod reference_properties {
+    use super::*;
+    use crate::radio::{RadioConfig, RadioModel};
+    use proptest::collection::vec;
+    use proptest::prelude::*;
+
+    /// Coordinates reach 200 m beyond every edge of the 1000 m × 800 m
+    /// field, so out-of-field (clamped) positions are exercised too.
+    fn point() -> (std::ops::Range<f64>, std::ops::Range<f64>) {
+        (-200.0..1200.0, -200.0..1000.0)
+    }
+
+    fn field() -> Field {
+        Field::new(1000.0, 800.0)
+    }
+
+    fn radio(range_m: f64, carrier_sense_factor: f64, fading_fraction: f64) -> RadioModel {
+        RadioModel::new(RadioConfig {
+            range_m,
+            carrier_sense_factor,
+            fading_fraction,
+            ..RadioConfig::default()
+        })
+    }
+
+    fn to_positions(points: &[(f64, f64)]) -> Vec<Position> {
+        points.iter().map(|&(x, y)| Position::new(x, y)).collect()
+    }
+
+    /// The grid query, filtered by `audible`, next to the ascending scan.
+    fn grid_and_scan(
+        grid: &mut NodeGrid,
+        model: &RadioModel,
+        positions: &[Position],
+        src: &Position,
+    ) -> (Vec<u32>, Vec<u32>) {
+        let mut candidates = Vec::new();
+        grid.candidates_within(src, model.audible_radius(), &mut candidates);
+        candidates.retain(|&id| model.audible(src, &positions[id as usize]));
+        let scan = (0..positions.len() as u32)
+            .filter(|&id| model.audible(src, &positions[id as usize]))
+            .collect();
+        (candidates, scan)
+    }
+
+    proptest! {
+        #[test]
+        fn audible_grid_candidates_equal_an_ascending_scan(
+            points in vec(point(), 1..150),
+            moves in vec((0usize..150, point()), 0..60),
+            sources in vec(point(), 1..8),
+            range_m in 20.0..400.0,
+            carrier_sense_factor in 1.0..2.5,
+            fading_fraction in 0.0..0.5,
+            cell_scale in 0.25..3.0,
+        ) {
+            let model = radio(range_m, carrier_sense_factor, fading_fraction);
+            let mut positions = to_positions(&points);
+            let mut grid = NodeGrid::new(&field(), model.audible_radius() * cell_scale, &positions);
+            let mut centers = to_positions(&sources);
+            centers.extend(positions.iter().copied());
+            for src in &centers {
+                let (grid_set, scan) = grid_and_scan(&mut grid, &model, &positions, src);
+                prop_assert_eq!(grid_set, scan);
+            }
+            // Move some nodes (in and out of the field) and query again.
+            for &(i, (x, y)) in &moves {
+                let i = i % positions.len();
+                positions[i] = Position::new(x, y);
+            }
+            grid.refresh(&positions);
+            centers.truncate(sources.len());
+            centers.extend(positions.iter().copied());
+            for src in &centers {
+                let (grid_set, scan) = grid_and_scan(&mut grid, &model, &positions, src);
+                prop_assert_eq!(grid_set, scan);
+            }
+        }
+
+        #[test]
+        fn double_radius_sweep_holds_every_interferer_of_every_receiver(
+            txs in vec((point(), 0u64..20_000, 1u64..5_000), 0..120),
+            removed in vec(0usize..120, 0..30),
+            source in (point(), 0u64..20_000, 1u64..5_000),
+            receivers in vec((-1.0..1.0, -1.0..1.0), 1..40),
+            range_m in 20.0..400.0,
+            carrier_sense_factor in 1.0..2.5,
+            fading_fraction in 0.0..0.5,
+            cell_scale in 0.25..3.0,
+        ) {
+            let model = radio(range_m, carrier_sense_factor, fading_fraction);
+            let r = model.audible_radius();
+            let mut grid = TxGrid::new(&field(), r * cell_scale);
+            let mut live: Vec<TxEntry> = txs
+                .iter()
+                .enumerate()
+                .map(|(i, &((x, y), start, air))| TxEntry {
+                    id: i as u64,
+                    start: SimTime::from_micros(start),
+                    end: SimTime::from_micros(start + air),
+                    src: i as u32,
+                    src_pos: Position::new(x, y),
+                })
+                .collect();
+            for e in &live {
+                grid.insert(*e);
+            }
+            for &k in &removed {
+                if let Some(at) = live.iter().position(|e| e.id == k as u64) {
+                    let e = live.remove(at);
+                    grid.remove(e.id, &e.src_pos);
+                }
+            }
+            let ((sx, sy), start, air) = source;
+            let src_pos = Position::new(sx, sy);
+            let (start, end) = (SimTime::from_micros(start), SimTime::from_micros(start + air));
+
+            // The engine's sweep: time-overlapping entries within 2r.
+            let mut swept = Vec::new();
+            grid.for_each_within(&src_pos, 2.0 * r, |t| {
+                if t.start < end && t.end > start {
+                    swept.push(t.id);
+                }
+            });
+            // Reference: every receiver that can hear the source, and every
+            // live time-overlapping transmission audible there.
+            for &(dx, dy) in &receivers {
+                let q = Position::new(sx + dx * r, sy + dy * r);
+                if !model.audible(&src_pos, &q) {
+                    continue;
+                }
+                for t in &live {
+                    if t.start < end && t.end > start && model.audible(&t.src_pos, &q) {
+                        prop_assert!(
+                            swept.contains(&t.id),
+                            "interferer {} at {:?} audible at {:?} missed", t.id, t.src_pos, q
+                        );
+                    }
+                }
+            }
+        }
     }
 }
