@@ -1,120 +1,77 @@
 //! A flapping adversary: a *correct* node that turns Byzantine mid-run and
-//! possibly back, driven by the fault plan's `SetByzantine` events.
+//! possibly back, driven by the fault plan's `SetByzantine` windows.
 //!
 //! This is the worst case for the MUTE/TRUST detectors: the node builds up
 //! genuine trust while correct, then silently deviates inside an activation
-//! window, then behaves again. Unlike [`crate::MuteNode`], a flapper does not
-//! lie about overlay membership — outside its windows it is byte-for-byte
-//! the shipped protocol.
+//! window, then behaves again. Unlike a standing [`crate::MuteNode`], a
+//! flapper does not lie about overlay membership — outside its windows it
+//! is byte-for-byte the shipped protocol.
 
 use byzcast_core::message::WireMsg;
 use byzcast_core::ByzcastNode;
 use byzcast_sim::node::Action;
-use byzcast_sim::{AppPayload, Context, NodeId, Protocol, TimerKey};
+use byzcast_sim::Context;
 
-use crate::wrappers::MutePolicy;
-use crate::{capture, emit};
+use crate::{Deviant, Deviation, Forge, Mute, MutePolicy};
 
-/// What a [`FlappingNode`] does while its Byzantine window is active.
+/// What a flapper does while its Byzantine window is active.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FlapBehavior {
-    /// Suppress outgoing frames per the policy (mute windows).
+    /// Suppress outgoing frames per the policy (mute windows), by the same
+    /// rule as [`Mute`].
     Mute(MutePolicy),
-    /// Corrupt the payload of relayed data messages (forging windows).
+    /// Corrupt the payload of relayed data messages (forging windows), as
+    /// [`Forge`] does.
     Forger,
 }
 
-/// A correct node with fault-plan-driven Byzantine activation windows.
-pub struct FlappingNode {
-    inner: ByzcastNode,
-    behavior: FlapBehavior,
+/// Flap: applies a deviation only while the fault plan's Byzantine window
+/// is open; the node starts correct.
+pub struct Flap {
+    while_active: Box<dyn Deviation<ByzcastNode> + Send>,
     active: bool,
-    /// Frames suppressed inside mute windows (diagnostic).
-    pub suppressed: u64,
-    /// Frames tampered inside forging windows (diagnostic).
-    pub tampered: u64,
 }
 
+impl Flap {
+    /// A flapper with `behavior` inside its windows.
+    pub fn new(behavior: FlapBehavior) -> Self {
+        let while_active: Box<dyn Deviation<ByzcastNode> + Send> = match behavior {
+            FlapBehavior::Mute(policy) => Box::new(Mute(policy)),
+            FlapBehavior::Forger => Box::new(Forge),
+        };
+        Flap {
+            while_active,
+            active: false,
+        }
+    }
+}
+
+impl Deviation<ByzcastNode> for Flap {
+    fn deviate(
+        &mut self,
+        ctx: &mut Context<'_, WireMsg>,
+        action: Action<WireMsg>,
+    ) -> Option<Action<WireMsg>> {
+        if self.active {
+            self.while_active.deviate(ctx, action)
+        } else {
+            Some(action)
+        }
+    }
+    fn on_byzantine(&mut self, active: bool) {
+        self.active = active;
+    }
+}
+
+/// Builds a correct node with fault-plan-driven Byzantine windows
+/// ([`Flap`]).
+pub enum FlappingNode {}
+
+#[allow(clippy::new_ret_no_self)]
 impl FlappingNode {
     /// Wraps `inner`; starts in the correct (inactive) state.
-    pub fn new(inner: ByzcastNode, behavior: FlapBehavior) -> Self {
-        FlappingNode {
-            inner,
-            behavior,
-            active: false,
-            suppressed: 0,
-            tampered: 0,
-        }
-    }
-
-    /// The wrapped (correct-protocol) node.
-    pub fn inner(&self) -> &ByzcastNode {
-        &self.inner
-    }
-
-    /// Whether a Byzantine window is currently active.
-    pub fn is_active(&self) -> bool {
-        self.active
-    }
-
-    fn mute_keeps(policy: MutePolicy, msg: &WireMsg) -> bool {
-        match policy {
-            MutePolicy::DropData => !matches!(
-                msg,
-                WireMsg::Data(_) | WireMsg::Request(_) | WireMsg::FindMissing(_)
-            ),
-            MutePolicy::DropDataAndGossip => matches!(msg, WireMsg::Beacon(_)),
-            MutePolicy::DropEverything => false,
-        }
-    }
-
-    fn relay(&mut self, ctx: &mut Context<'_, WireMsg>, actions: Vec<Action<WireMsg>>) {
-        let me = ctx.node_id();
-        for a in actions {
-            if !self.active {
-                emit(ctx, a);
-                continue;
-            }
-            match (self.behavior, a) {
-                (FlapBehavior::Mute(policy), Action::Send(m)) => {
-                    if Self::mute_keeps(policy, &m) {
-                        ctx.send(m);
-                    } else {
-                        self.suppressed += 1;
-                    }
-                }
-                (FlapBehavior::Forger, Action::Send(WireMsg::Data(mut m))) if m.id.origin != me => {
-                    m.payload_id ^= 0xDEAD_BEEF;
-                    self.tampered += 1;
-                    ctx.send(WireMsg::Data(m));
-                }
-                (_, other) => emit(ctx, other),
-            }
-        }
-    }
-}
-
-impl Protocol for FlappingNode {
-    type Msg = WireMsg;
-
-    fn on_start(&mut self, ctx: &mut Context<'_, WireMsg>) {
-        let ((), actions) = capture(ctx, |sub| self.inner.on_start(sub));
-        self.relay(ctx, actions);
-    }
-    fn on_packet(&mut self, ctx: &mut Context<'_, WireMsg>, from: NodeId, msg: &WireMsg) {
-        let ((), actions) = capture(ctx, |sub| self.inner.on_packet(sub, from, msg));
-        self.relay(ctx, actions);
-    }
-    fn on_timer(&mut self, ctx: &mut Context<'_, WireMsg>, timer: TimerKey) {
-        let ((), actions) = capture(ctx, |sub| self.inner.on_timer(sub, timer));
-        self.relay(ctx, actions);
-    }
-    fn on_app_broadcast(&mut self, ctx: &mut Context<'_, WireMsg>, payload: AppPayload) {
-        let ((), actions) = capture(ctx, |sub| self.inner.on_app_broadcast(sub, payload));
-        self.relay(ctx, actions);
-    }
-    fn on_byzantine(&mut self, _ctx: &mut Context<'_, WireMsg>, active: bool) {
-        self.active = active;
+    pub fn new(inner: ByzcastNode, behavior: FlapBehavior) -> Deviant<ByzcastNode> {
+        Deviant::new(inner, Flap::new(behavior))
     }
 }
 
@@ -124,7 +81,7 @@ mod tests {
     use byzcast_core::message::DataMsg;
     use byzcast_core::ByzcastConfig;
     use byzcast_crypto::{KeyRegistry, SignerId, SimScheme, Verifier};
-    use byzcast_sim::{SimRng, SimTime};
+    use byzcast_sim::{NodeId, Protocol, SimRng, SimTime, TimerKey};
     use std::sync::Arc;
 
     fn byz(id: u32, reg: &KeyRegistry<SimScheme>) -> ByzcastNode {
@@ -166,11 +123,10 @@ mod tests {
         let reg = KeyRegistry::generate(1, 8);
         let mut flap =
             FlappingNode::new(byz(1, &reg), FlapBehavior::Mute(MutePolicy::DropEverything));
-        assert!(!flap.is_active());
         // Gossip tick: everything the correct node emits goes out verbatim.
         let actions = drive(&mut flap, 1, |p, ctx| p.on_timer(ctx, TimerKey(1)));
         assert!(!sends(&actions).is_empty());
-        assert_eq!(flap.suppressed, 0);
+        assert_eq!(flap.deviations(), 0);
     }
 
     #[test]
@@ -179,10 +135,9 @@ mod tests {
         let mut flap =
             FlappingNode::new(byz(1, &reg), FlapBehavior::Mute(MutePolicy::DropEverything));
         drive(&mut flap, 1, |p, ctx| p.on_byzantine(ctx, true));
-        assert!(flap.is_active());
         let actions = drive(&mut flap, 1, |p, ctx| p.on_timer(ctx, TimerKey(1)));
         assert!(sends(&actions).is_empty());
-        assert!(flap.suppressed >= 1);
+        assert!(flap.deviations() >= 1);
         // Deactivate: the node speaks again. Hand it a message so the next
         // gossip tick has something to advertise.
         drive(&mut flap, 1, |p, ctx| p.on_byzantine(ctx, false));
@@ -213,7 +168,7 @@ mod tests {
                 assert!(d.verify(&v), "inactive flapper corrupted a relay");
             }
         }
-        assert_eq!(flap.tampered, 0);
+        assert_eq!(flap.deviations(), 0);
 
         // Active: the relayed copy is forged (fresh seq so it is not deduped).
         drive(&mut flap, 1, |p, ctx| p.on_byzantine(ctx, true));
@@ -230,6 +185,35 @@ mod tests {
             .collect();
         assert_eq!(datas.len(), 1);
         assert!(!datas[0].verify(&v));
-        assert_eq!(flap.tampered, 1);
+        assert_eq!(flap.deviations(), 1);
+    }
+
+    #[test]
+    fn gossip_mute_window_keeps_the_beacon_and_strips_entries() {
+        // The same rule as a standing mute node: beacon-bearing gossip is
+        // rewritten, not dropped, so an active flapper keeps beaconing.
+        let reg = KeyRegistry::generate(1, 8);
+        let mut flap = FlappingNode::new(
+            byz(1, &reg),
+            FlapBehavior::Mute(MutePolicy::DropDataAndGossip),
+        );
+        let m = DataMsg::sign(&reg.signer(SignerId(0)), 1, 5, 64);
+        drive(&mut flap, 1, |p, ctx| {
+            p.on_packet(ctx, NodeId(0), &WireMsg::Data(m))
+        });
+        drive(&mut flap, 1, |p, ctx| p.on_byzantine(ctx, true));
+        let before = flap.deviations();
+        let actions = drive(&mut flap, 1, |p, ctx| p.on_timer(ctx, TimerKey(1)));
+        let gossip: Vec<_> = sends(&actions)
+            .into_iter()
+            .map(|s| match s {
+                WireMsg::Gossip(g) => g,
+                other => panic!("unexpected frame {other:?}"),
+            })
+            .collect();
+        assert_eq!(gossip.len(), 1, "the gossip tick must still go out");
+        assert!(gossip[0].entries.is_empty(), "entries leaked: {gossip:?}");
+        assert!(gossip[0].beacon.is_some(), "the beacon was dropped");
+        assert_eq!(flap.deviations(), before, "a rewrite is not a suppression");
     }
 }

@@ -5,27 +5,41 @@
 //! send messages with different data to different nodes" — but "a node cannot
 //! impersonate another node", thanks to signatures.
 //!
-//! Each adversary here either *wraps* a correct `ByzcastNode` and perturbs
-//! its outgoing actions (the strongest adversaries: they speak the protocol
-//! perfectly except for the deviation), or is a standalone protocol:
+//! The model treats a Byzantine node as a correct node whose output
+//! deviates. Protocol-speaking adversaries are exactly that: one
+//! [`Deviant`] wrapper runs a correct `ByzcastNode` (or any protocol) and
+//! passes its actions through one [`Deviation`] — the strongest adversaries,
+//! perfect protocol speakers except for the deviation:
 //!
-//! * [`MuteNode`] — runs the protocol but never forwards data (and optionally
-//!   never gossips), while *claiming to be an overlay dominator* so correct
-//!   neighbours defer to it. The attack the MUTE failure detector exists for,
-//!   and the failure mode the paper's evaluation focuses on ("nodes
-//!   experience mute failures, as these failures seem to have the most
-//!   adverse impact on the protocol's performance").
-//! * [`SilentNode`] — generic crash-like mute: drops every transmission of
-//!   any wrapped protocol (used against the baselines too).
-//! * [`ForgerNode`] — tampers with the payload of every forwarded data
-//!   message ("send messages with false information"); signatures catch it.
-//! * [`VerboseNode`] — floods duplicate `REQUEST_MSG`s for messages it
-//!   already has; the VERBOSE failure detector exists for this.
+//! * [`Mute`] ([`MuteNode`]) — runs the protocol but never forwards data
+//!   (and optionally never gossips), while *claiming to be an overlay
+//!   dominator* so correct neighbours defer to it. The attack the MUTE
+//!   failure detector exists for, and the failure mode the paper's
+//!   evaluation focuses on ("nodes experience mute failures, as these
+//!   failures seem to have the most adverse impact on the protocol's
+//!   performance").
+//! * [`Silent`] ([`SilentNode`]) — generic crash-like mute: drops every
+//!   transmission of any wrapped protocol (used against the baselines too).
+//! * [`Forge`] ([`ForgerNode`]) — tampers with the payload id of every data
+//!   message it relays ("send messages with false information");
+//!   signatures catch it.
+//! * [`Verbose`] ([`VerboseNode`]) — floods duplicate `REQUEST_MSG`s for
+//!   messages it already has; the VERBOSE failure detector exists for this.
+//! * [`Censor`] ([`SelectiveForwarder`]) — forwards everything except
+//!   messages from victim originators (targeted censorship).
+//! * [`Flap`] ([`FlappingNode`]) — a correct node whose mute or forging
+//!   deviation is switched on and off mid-run by the fault plan's
+//!   activation windows; the hardest case for the MUTE/TRUST detectors.
+//! * [`Sabotage`] ([`SabotagedNode`]) — a deliberately broken "correct"
+//!   node (duplicate, phantom or dropped deliveries) used to prove the chaos
+//!   oracles catch real protocol bugs.
+//!
+//! The `…Node` names build the corresponding `Deviant`. The standalone
+//! adversaries craft their own frames instead:
+//!
 //! * [`GossipLiarNode`] — gossips about messages it never supplies, the
 //!   behaviour §3.2.2 calls out: "If q gossips about messages that do not
 //!   exist or q does not want to supply them, it will be suspected."
-//! * [`SelectiveForwarder`] — forwards everything except messages from
-//!   victim originators (targeted censorship).
 //! * [`ImpersonatorNode`] — injects data messages with forged originators
 //!   and unsigned beacons; pure noise once signatures are checked.
 //! * [`FlooderNode`] — a registered node injecting unique *validly signed*
@@ -36,92 +50,21 @@
 //! * [`SigGrinderNode`] — unique valid-looking frames with garbage
 //!   signatures; every one costs the receiver a full failing verification
 //!   (CPU exhaustion).
-//! * [`FlappingNode`] — a correct node whose Byzantine behaviour (mute or
-//!   forging) is switched on and off mid-run by the fault plan's activation
-//!   windows; the hardest case for the MUTE/TRUST detectors.
-//! * [`SabotagedNode`] — a deliberately broken "correct" node (duplicate,
-//!   phantom or dropped deliveries) used to prove the chaos oracles catch
-//!   real protocol bugs.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod deviant;
+pub mod deviations;
 pub mod flapping;
 pub mod sabotage;
 pub mod standalone;
-pub mod wrappers;
 
-pub use flapping::{FlapBehavior, FlappingNode};
-pub use sabotage::{SabotageKind, SabotagedNode};
-pub use standalone::{FlooderNode, GossipLiarNode, ImpersonatorNode, ReplayerNode, SigGrinderNode};
-pub use wrappers::{
-    AlwaysDominator, ForgerNode, MuteNode, MutePolicy, SelectiveForwarder, SilentNode, VerboseNode,
+pub use deviant::{Deviant, Deviation};
+pub use deviations::{
+    AlwaysDominator, Censor, Forge, ForgerNode, Mute, MuteNode, MutePolicy, SelectiveForwarder,
+    Silent, SilentNode, Verbose, VerboseNode,
 };
-
-use byzcast_sim::node::Action;
-use byzcast_sim::{Context, Message};
-
-/// Runs `f` against a sub-context and returns the actions it produced,
-/// letting a wrapper inspect/filter/rewrite them before re-emitting.
-pub fn capture<M: Message, R>(
-    ctx: &mut Context<'_, M>,
-    f: impl FnOnce(&mut Context<'_, M>) -> R,
-) -> (R, Vec<Action<M>>) {
-    let node = ctx.node_id();
-    let now = ctx.now();
-    let mut actions = Vec::new();
-    let r = {
-        let mut sub = Context::new(node, now, ctx.rng(), &mut actions);
-        f(&mut sub)
-    };
-    (r, actions)
-}
-
-/// Re-emits a captured action into the real context.
-pub fn emit<M: Message>(ctx: &mut Context<'_, M>, action: Action<M>) {
-    match action {
-        Action::Send(m) => ctx.send(m),
-        Action::SetTimer { at, key } => ctx.set_timer_at(at, key),
-        Action::CancelTimer(key) => ctx.cancel_timer(key),
-        Action::Deliver { origin, payload_id } => ctx.deliver(origin, payload_id),
-        Action::Note(text) => ctx.note(text),
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use byzcast_sim::{NodeId, SimRng, SimTime};
-
-    #[derive(Clone, Debug, PartialEq)]
-    struct M(u32);
-    impl Message for M {
-        fn wire_size(&self) -> usize {
-            4
-        }
-        fn kind(&self) -> &'static str {
-            "m"
-        }
-    }
-
-    #[test]
-    fn capture_and_emit_round_trip() {
-        let mut rng = SimRng::new(0);
-        let mut outer: Vec<Action<M>> = Vec::new();
-        let mut ctx = Context::new(NodeId(1), SimTime::from_secs(1), &mut rng, &mut outer);
-        let ((), captured) = capture(&mut ctx, |sub| {
-            sub.send(M(1));
-            sub.deliver(NodeId(2), 9);
-        });
-        assert_eq!(captured.len(), 2);
-        // Re-emit only the delivery.
-        for a in captured {
-            if matches!(a, Action::Deliver { .. }) {
-                emit(&mut ctx, a);
-            }
-        }
-        let _ = ctx;
-        assert_eq!(outer.len(), 1);
-        assert!(matches!(outer[0], Action::Deliver { .. }));
-    }
-}
+pub use flapping::{Flap, FlapBehavior, FlappingNode};
+pub use sabotage::{Sabotage, SabotageKind, SabotagedNode};
+pub use standalone::{FlooderNode, GossipLiarNode, ImpersonatorNode, ReplayerNode, SigGrinderNode};

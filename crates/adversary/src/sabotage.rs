@@ -9,9 +9,9 @@
 use byzcast_core::message::WireMsg;
 use byzcast_core::ByzcastNode;
 use byzcast_sim::node::Action;
-use byzcast_sim::{AppPayload, Context, NodeId, Protocol, TimerKey};
+use byzcast_sim::Context;
 
-use crate::{capture, emit};
+use crate::{Deviant, Deviation};
 
 /// Which delivery bug a [`SabotagedNode`] exhibits.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -49,69 +49,57 @@ impl SabotageKind {
 /// XOR mask distinguishing a phantom payload id from any real one.
 pub const PHANTOM_MASK: u64 = 0x5AB0;
 
-/// A correct node with one injected delivery bug.
-pub struct SabotagedNode {
-    inner: ByzcastNode,
+/// Sabotage: a correct node with one injected delivery bug.
+#[derive(Clone, Copy, Debug)]
+pub struct Sabotage {
     kind: SabotageKind,
     phantom_emitted: bool,
 }
 
-impl SabotagedNode {
-    /// Wraps `inner` with the given bug.
-    pub fn new(inner: ByzcastNode, kind: SabotageKind) -> Self {
-        SabotagedNode {
-            inner,
+impl Sabotage {
+    /// The given bug, not yet triggered.
+    pub fn new(kind: SabotageKind) -> Self {
+        Sabotage {
             kind,
             phantom_emitted: false,
         }
     }
+}
 
-    /// The wrapped (correct-protocol) node.
-    pub fn inner(&self) -> &ByzcastNode {
-        &self.inner
-    }
-
-    fn relay(&mut self, ctx: &mut Context<'_, WireMsg>, actions: Vec<Action<WireMsg>>) {
-        for a in actions {
-            match a {
-                Action::Deliver { origin, payload_id } => match self.kind {
-                    SabotageKind::DoubleDeliver => {
-                        ctx.deliver(origin, payload_id);
-                        ctx.deliver(origin, payload_id);
-                    }
-                    SabotageKind::PhantomDeliver => {
-                        ctx.deliver(origin, payload_id);
-                        if !self.phantom_emitted {
-                            self.phantom_emitted = true;
-                            ctx.deliver(origin, payload_id ^ PHANTOM_MASK);
-                        }
-                    }
-                    SabotageKind::DropDeliver => {}
-                },
-                other => emit(ctx, other),
+impl Deviation<ByzcastNode> for Sabotage {
+    fn deviate(
+        &mut self,
+        ctx: &mut Context<'_, WireMsg>,
+        action: Action<WireMsg>,
+    ) -> Option<Action<WireMsg>> {
+        let Action::Deliver { origin, payload_id } = action else {
+            return Some(action);
+        };
+        match self.kind {
+            SabotageKind::DoubleDeliver => {
+                ctx.deliver(origin, payload_id);
+                ctx.deliver(origin, payload_id);
             }
+            SabotageKind::PhantomDeliver if !self.phantom_emitted => {
+                self.phantom_emitted = true;
+                ctx.deliver(origin, payload_id);
+                ctx.deliver(origin, payload_id ^ PHANTOM_MASK);
+            }
+            SabotageKind::PhantomDeliver => return Some(action),
+            SabotageKind::DropDeliver => {}
         }
+        None
     }
 }
 
-impl Protocol for SabotagedNode {
-    type Msg = WireMsg;
+/// Builds a sabotaged "correct" node ([`Sabotage`]).
+pub enum SabotagedNode {}
 
-    fn on_start(&mut self, ctx: &mut Context<'_, WireMsg>) {
-        let ((), actions) = capture(ctx, |sub| self.inner.on_start(sub));
-        self.relay(ctx, actions);
-    }
-    fn on_packet(&mut self, ctx: &mut Context<'_, WireMsg>, from: NodeId, msg: &WireMsg) {
-        let ((), actions) = capture(ctx, |sub| self.inner.on_packet(sub, from, msg));
-        self.relay(ctx, actions);
-    }
-    fn on_timer(&mut self, ctx: &mut Context<'_, WireMsg>, timer: TimerKey) {
-        let ((), actions) = capture(ctx, |sub| self.inner.on_timer(sub, timer));
-        self.relay(ctx, actions);
-    }
-    fn on_app_broadcast(&mut self, ctx: &mut Context<'_, WireMsg>, payload: AppPayload) {
-        let ((), actions) = capture(ctx, |sub| self.inner.on_app_broadcast(sub, payload));
-        self.relay(ctx, actions);
+#[allow(clippy::new_ret_no_self)]
+impl SabotagedNode {
+    /// Wraps `inner` with the given bug.
+    pub fn new(inner: ByzcastNode, kind: SabotageKind) -> Deviant<ByzcastNode> {
+        Deviant::new(inner, Sabotage::new(kind))
     }
 }
 
@@ -121,7 +109,7 @@ mod tests {
     use byzcast_core::message::DataMsg;
     use byzcast_core::ByzcastConfig;
     use byzcast_crypto::{KeyRegistry, SignerId, SimScheme, Verifier};
-    use byzcast_sim::{SimRng, SimTime};
+    use byzcast_sim::{NodeId, Protocol, SimRng, SimTime};
     use std::sync::Arc;
 
     fn byz(id: u32, reg: &KeyRegistry<SimScheme>) -> ByzcastNode {
@@ -145,7 +133,7 @@ mod tests {
     }
 
     fn receive(
-        node: &mut SabotagedNode,
+        node: &mut Deviant<ByzcastNode>,
         seq: u64,
         payload_id: u64,
         reg: &KeyRegistry<SimScheme>,

@@ -4,7 +4,7 @@ use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use byzcast_adversary::{
-    FlapBehavior, FlappingNode, FlooderNode, ForgerNode, GossipLiarNode, ImpersonatorNode,
+    Deviant, FlapBehavior, FlappingNode, FlooderNode, ForgerNode, GossipLiarNode, ImpersonatorNode,
     MuteNode, MutePolicy, ReplayerNode, SabotageKind, SabotagedNode, SelectiveForwarder,
     SigGrinderNode, SilentNode, VerboseNode,
 };
@@ -651,34 +651,11 @@ pub fn figure5_worst_case(c: usize, seed: u64) -> ScenarioConfig {
     }
 }
 
-/// Looks through adversary wrappers to the underlying [`ByzcastNode`], when
-/// there is one (standalone adversaries have none).
+/// Looks through the adversary wrapper to the underlying [`ByzcastNode`],
+/// when there is one (standalone adversaries have none).
 pub fn byz_view(sim: &Simulator<WireMsg>, id: NodeId) -> Option<&ByzcastNode> {
-    if let Some(n) = sim.protocol::<ByzcastNode>(id) {
-        return Some(n);
-    }
-    if let Some(w) = sim.protocol::<MuteNode>(id) {
-        return Some(w.inner());
-    }
-    if let Some(w) = sim.protocol::<ForgerNode>(id) {
-        return Some(w.inner());
-    }
-    if let Some(w) = sim.protocol::<VerboseNode>(id) {
-        return Some(w.inner());
-    }
-    if let Some(w) = sim.protocol::<SelectiveForwarder>(id) {
-        return Some(w.inner());
-    }
-    if let Some(w) = sim.protocol::<SilentNode<ByzcastNode>>(id) {
-        return Some(w.inner());
-    }
-    if let Some(w) = sim.protocol::<FlappingNode>(id) {
-        return Some(w.inner());
-    }
-    if let Some(w) = sim.protocol::<SabotagedNode>(id) {
-        return Some(w.inner());
-    }
-    None
+    sim.protocol::<ByzcastNode>(id)
+        .or_else(|| sim.protocol::<Deviant<ByzcastNode>>(id).map(Deviant::inner))
 }
 
 #[cfg(test)]
