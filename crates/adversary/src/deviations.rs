@@ -202,9 +202,8 @@ impl Deviation<ByzcastNode> for Censor {
     }
 }
 
-// The adversary names below predate `Deviant` and stay as its
-// constructors, so callers keep building adversaries as before. Each is an
-// uninhabited namespace whose `new` returns the `Deviant`, not `Self`.
+// Named constructors for callers that build an adversary by name. Each is
+// an uninhabited namespace whose `new` returns the `Deviant`, not `Self`.
 
 /// Builds a mute Byzantine node claiming overlay membership ([`Mute`]).
 pub enum MuteNode {}

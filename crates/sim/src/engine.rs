@@ -317,8 +317,9 @@ pub struct Simulator<M: Message> {
     /// probes.
     tx_grid: TxGrid,
     /// Per-node `(start, end)` intervals of that node's own transmissions
-    /// still in `active_tx`: half-duplex and own-carrier checks must not depend on the node's
-    /// *current* position, so they cannot go through the grids.
+    /// still in `active_tx`: half-duplex and own-carrier checks must not
+    /// depend on the node's *current* position, so they cannot go through
+    /// the grids.
     tx_log: Vec<VecDeque<(SimTime, SimTime)>>,
     /// Scratch buffer for grid candidate queries (reused across events).
     candidate_buf: Vec<u32>,
