@@ -11,14 +11,19 @@
 //!
 //! Coverage: the mobile 40-node scenario (seeds 1–3) under byzcast and
 //! flooding, under a never-binding governance envelope and a dormant
-//! recovery envelope, plus one small static scenario for each
-//! wrapped-protocol adversary and each sabotage kind.
+//! recovery envelope, one small static scenario for each wrapped-protocol
+//! adversary and each sabotage kind, the three exhaustion adversaries under
+//! the paper envelope (non-zero drop and quota counters), and every chaos
+//! corpus reproducer (non-zero fault, resource and recovery sections).
 
 use byzcast_adversary::{FlapBehavior, MutePolicy, SabotageKind};
 use byzcast_core::{RecoveryConfig, ResourceConfig};
 use byzcast_crypto::sha256;
 use byzcast_harness::record::{run_record, RecordMeta};
-use byzcast_harness::{AdversaryKind, MobilityChoice, ProtocolChoice, ScenarioConfig, Workload};
+use byzcast_harness::{
+    paper_envelope, parse_case, run_case, AdversaryKind, MobilityChoice, ProtocolChoice,
+    RunSummary, ScenarioConfig, Workload,
+};
 use byzcast_sim::{FaultPlan, Field, NodeId, SimConfig, SimDuration};
 
 /// The mid-size mobile scenario: 40 nodes, random waypoint, 700 m field.
@@ -128,34 +133,39 @@ fn small_workload() -> Workload {
     }
 }
 
-/// Runs `scenario` and hashes its JSONL record.
-fn digest(name: &str, scenario: &ScenarioConfig, workload: &Workload) -> String {
-    let summary = scenario.run(workload);
-    let params = vec![("seed".to_owned(), scenario.seed.to_string())];
+/// Hashes the JSONL record of one finished run.
+fn record_digest(name: &str, seed: u64, summary: &RunSummary) -> String {
+    let params = vec![("seed".to_owned(), seed.to_string())];
     let line = run_record(
         &RecordMeta {
             experiment: "golden_digests",
             label: name,
             params: &params,
-            seed: scenario.seed,
+            seed,
             run_index: 0,
             wall_ms: 0.0,
         },
-        &summary,
+        summary,
         &[],
     );
     sha256(line.as_bytes()).to_hex()
 }
 
-/// Compares every case against its digest and reports all mismatches at
-/// once, with the digest each case produced now.
+/// Runs every scenario and compares its record digest with the expected
+/// one.
 fn check(cases: &[(&str, ScenarioConfig, Workload, &str)]) {
-    let mismatches: Vec<String> = cases
-        .iter()
-        .filter_map(|(name, scenario, workload, expected)| {
-            let got = digest(name, scenario, workload);
-            (got != *expected).then(|| format!("{name}: expected {expected}, got {got}"))
-        })
+    check_digests(cases.iter().map(|(name, scenario, workload, expected)| {
+        let got = record_digest(name, scenario.seed, &scenario.run(workload));
+        (*name, got, *expected)
+    }));
+}
+
+/// Reports every `(name, got, expected)` mismatch at once, with the digest
+/// each case produced now.
+fn check_digests<'a>(results: impl Iterator<Item = (&'a str, String, &'a str)>) {
+    let mismatches: Vec<String> = results
+        .filter(|(_, got, expected)| got != expected)
+        .map(|(name, got, expected)| format!("{name}: expected {expected}, got {got}"))
         .collect();
     assert!(
         mismatches.is_empty(),
@@ -326,4 +336,80 @@ fn adversary_runs_match_golden_digests() {
         .map(|(name, scenario, digest)| (name, scenario, small_workload(), digest))
         .collect();
     check(&cases);
+}
+
+/// The exhaustion adversaries on the small static scenario, governed by the
+/// paper envelope: the only pinned runs whose admission, verification-budget
+/// and quota counters are non-zero.
+#[test]
+fn governed_exhaustion_runs_match_golden_digests() {
+    let governed = |kind| {
+        let mut scenario = with_adversary(kind);
+        scenario.byzcast.resources = paper_envelope();
+        scenario
+    };
+    let cases = [
+        (
+            "flooder",
+            governed(AdversaryKind::Flooder {
+                period: SimDuration::from_millis(200),
+                per_tick: 4,
+                payload_bytes: 256,
+            }),
+            "c11ffcb5955ee1b32be87d0f7f25a7f3712e8eb9866fd81bcd4b71fec8b58dff",
+        ),
+        (
+            "replayer",
+            governed(AdversaryKind::Replayer {
+                delay: SimDuration::from_secs(6),
+            }),
+            "1b1e542b4a309d3412d92e495155fbcec0c432951223a741e72837c9794f2987",
+        ),
+        (
+            "sig-grinder",
+            governed(AdversaryKind::SigGrinder {
+                period: SimDuration::from_millis(200),
+                per_tick: 4,
+            }),
+            "67be54b203fa07af7730976b1d4c569e9e84354335961cb531e745599932e339",
+        ),
+    ];
+    let cases: Vec<_> = cases
+        .into_iter()
+        .map(|(name, scenario, digest)| (name, scenario, small_workload(), digest))
+        .collect();
+    check(&cases);
+}
+
+/// Every chaos corpus reproducer, run as `chaos replay` runs it (standard
+/// oracles included). `crash-thin-chain` is the only pinned run whose
+/// `faults`, `resources` and `recovery` sections all carry non-zero values.
+#[test]
+fn chaos_corpus_runs_match_golden_digests() {
+    let expected = [
+        (
+            "crash-thin-chain",
+            "416517b27036281cda742e802b46171ad40a459e36a930854f8e0b9041d0c3fa",
+        ),
+        (
+            "double-deliver",
+            "53b0f1387b912069a1caca3716d24f4345c78b2973c6a18fd8abf8e0f3bddd3f",
+        ),
+        (
+            "drop-deliver",
+            "85444db384d4923b6d3f11004083d51e826b09821da4e47ce79576cc03a0f31c",
+        ),
+        (
+            "phantom-deliver",
+            "f371382d2ff818ed2d9c79f3e4bf765fa113da6a80743cbae95a29fec378601a",
+        ),
+    ];
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/chaos_corpus");
+    check_digests(expected.iter().map(|&(name, expected)| {
+        let path = dir.join(format!("{name}.chaos"));
+        let text = std::fs::read_to_string(&path).expect("read corpus file");
+        let case = parse_case(&text).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+        let got = record_digest(name, case.scenario.seed, &run_case(&case).summary);
+        (name, got, expected)
+    }));
 }
