@@ -86,13 +86,14 @@ fn main() {
     ]);
     for (speed, result) in speed_labels.iter().zip(&results) {
         let agg = &result.aggregate;
+        let c = agg.counters.unwrap_or_default();
         table.add_row([
             speed.clone(),
             agg.protocol.clone(),
             fnum(agg.delivery_ratio),
             fnum(agg.min_delivery_ratio),
             agg.frames_sent.to_string(),
-            agg.requests.to_string(),
+            c.requests_sent.to_string(),
             fnum(agg.p99_latency_s),
         ]);
     }

@@ -49,13 +49,14 @@ fn main() {
     ]);
     for (&(n, policy), result) in metas.iter().zip(&results) {
         let agg = &result.aggregate;
-        let gossip_frames = agg.frames_sent - agg.data_frames - agg.requests - agg.finds;
+        let c = agg.counters.unwrap_or_default();
+        let gossip_frames = agg.frames_sent - agg.data_frames - c.requests_sent - c.finds_sent;
         table.add_row([
             n.to_string(),
             format!("{policy:?}"),
             agg.store_high_water.to_string(),
             fnum(agg.delivery_ratio),
-            agg.recovered.to_string(),
+            c.recovered_via_request.to_string(),
             gossip_frames.to_string(),
         ]);
     }

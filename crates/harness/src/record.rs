@@ -68,6 +68,15 @@ impl JsonObject {
         self
     }
 
+    /// Adds a nested object of integer fields, in the given order.
+    pub fn section<K: AsRef<str>>(&mut self, key: &str, fields: &[(K, u64)]) -> &mut Self {
+        let mut inner = JsonObject::new();
+        for (name, value) in fields {
+            inner.u64(name.as_ref(), *value);
+        }
+        self.raw(key, &inner.finish())
+    }
+
     /// Adds a pre-serialized JSON value verbatim.
     pub fn raw(&mut self, key: &str, json: &str) -> &mut Self {
         self.key(key);
@@ -127,6 +136,9 @@ pub fn run_record(
     summary: &RunSummary,
     extras: &[(&'static str, f64)],
 ) -> String {
+    // Flooding and multi-overlay runs have no protocol counters: their
+    // recovery keys read 0.
+    let c = summary.counters.unwrap_or_default();
     let mut o = JsonObject::new();
     o.str("experiment", meta.experiment)
         .str("point", meta.label)
@@ -150,10 +162,10 @@ pub fn run_record(
         .f64("max_latency_s", summary.max_latency_s)
         .u64("collisions", summary.collisions)
         .u64("noise_losses", summary.noise_losses)
-        .u64("requests", summary.requests)
-        .u64("finds", summary.finds)
-        .u64("recoveries_served", summary.recoveries_served)
-        .u64("recovered", summary.recovered)
+        .u64("requests", c.requests_sent)
+        .u64("finds", c.finds_sent)
+        .u64("recoveries_served", c.recoveries_served)
+        .u64("recovered", c.recovered_via_request)
         .u64("store_high_water", summary.store_high_water as u64)
         .u64("true_suspicions", summary.true_suspicions)
         .u64("false_suspicions", summary.false_suspicions);
@@ -164,20 +176,7 @@ pub fn run_record(
         o.bool("overlay_ok", ok);
     }
     if let Some(c) = &summary.counters {
-        let mut co = JsonObject::new();
-        co.u64("data_originated", c.data_originated)
-            .u64("data_forwards", c.data_forwards)
-            .u64("gossip_packets", c.gossip_packets)
-            .u64("gossip_entries", c.gossip_entries)
-            .u64("requests_sent", c.requests_sent)
-            .u64("finds_sent", c.finds_sent)
-            .u64("recoveries_served", c.recoveries_served)
-            .u64("recovered_via_request", c.recovered_via_request)
-            .u64("bad_signatures_seen", c.bad_signatures_seen)
-            .u64("beacons_sent", c.beacons_sent)
-            .u64("sig_cache_hits", c.sig_cache_hits)
-            .u64("sig_cache_misses", c.sig_cache_misses);
-        o.raw("counters", &co.finish());
+        o.section("counters", &c.fields());
     }
     if !summary.frame_kinds.is_empty() {
         let mut ko = JsonObject::new();
@@ -187,54 +186,20 @@ pub fn run_record(
         o.raw("frames_by_kind", &ko.finish());
     }
     if let Some(f) = &summary.faults {
-        let mut fo = JsonObject::new();
-        fo.u64("crashes", f.crashes)
-            .u64("restarts", f.restarts)
-            .u64("byz_activations", f.byz_activations)
-            .u64("byz_deactivations", f.byz_deactivations)
-            .u64("jam_starts", f.jam_starts)
-            .u64("jam_ends", f.jam_ends)
-            .u64("jam_losses", f.jam_losses)
-            .u64("injections_dropped", f.injections_dropped);
-        o.raw("faults", &fo.finish());
+        o.section("faults", &f.fields());
     }
     if let Some(r) = &summary.resources {
-        let mut ro = JsonObject::new();
-        ro.u64("frames_admitted", r.frames_admitted)
-            .u64("frames_dropped", r.frames_dropped)
-            .u64("verifs_charged", r.verifs_charged)
-            .u64("verifs_dropped", r.verifs_dropped)
-            .u64("peak_verifs_per_sec", r.peak_verifs_per_sec)
-            .u64("store_rejects", r.store_rejects)
-            .u64("seen_evictions", r.seen_evictions)
-            .u64("quota_drops", r.quota_drops)
-            .u64("quota_suspicions", r.quota_suspicions)
-            .u64("peak_store_msgs", r.peak_store_msgs)
-            .u64("peak_store_bytes", r.peak_store_bytes)
-            .u64("peak_seen_ids", r.peak_seen_ids)
-            .u64("peak_active_gossip", r.peak_active_gossip)
-            .u64("peak_missing", r.peak_missing);
-        o.raw("resources", &ro.finish());
+        o.section("resources", &r.fields());
     }
     if let Some(r) = &summary.recovery {
-        let mut ro = JsonObject::new();
-        ro.u64("requests_originated", r.requests_originated)
-            .u64("requests_widened", r.requests_widened)
-            .u64("finds_escalated", r.finds_escalated)
-            .u64("peak_escalation", r.peak_escalation)
-            .u64("reelections", r.reelections)
-            .u64("neighbors_purged", r.neighbors_purged);
-        o.raw("recovery", &ro.finish());
+        o.section("recovery", &r.fields());
     }
     if !summary.oracle_outcomes.is_empty() {
-        let mut oo = JsonObject::new();
-        let mut total = 0u64;
-        for (oracle, count) in &summary.oracle_outcomes {
-            oo.u64(oracle, *count);
-            total += count;
-        }
-        o.raw("oracles", &oo.finish());
-        o.u64("violations", total);
+        o.section("oracles", &summary.oracle_outcomes);
+        o.u64(
+            "violations",
+            summary.oracle_outcomes.iter().map(|(_, count)| count).sum(),
+        );
     }
     for (name, value) in extras {
         o.f64(name, *value);

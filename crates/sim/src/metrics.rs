@@ -52,28 +52,104 @@ pub struct NodeMetrics {
     pub queue_drops: u64,
 }
 
-/// Counters for executed fault-plan events and their radio-level effects.
+/// Declares a stats struct from one table of `u64` rows, each tagged `sum`
+/// (a counter) or `max` (a high-water mark), and generates from that table
+/// everything that walks the rows:
 ///
-/// All-zero (the `Default`) when the run had no fault plan, so metrics from
-/// faulty and fault-free runs still compare with `==` in differential tests.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct FaultStats {
-    /// Crash events executed.
-    pub crashes: u64,
-    /// Restart events executed.
-    pub restarts: u64,
-    /// Byzantine activations delivered (`SetByzantine { active: true }`).
-    pub byz_activations: u64,
-    /// Byzantine deactivations delivered (`SetByzantine { active: false }`).
-    pub byz_deactivations: u64,
-    /// Jam windows opened.
-    pub jam_starts: u64,
-    /// Jam windows closed.
-    pub jam_ends: u64,
-    /// Receptions destroyed by an active jam region.
-    pub jam_losses: u64,
-    /// Application broadcasts dropped because the origin node was down.
-    pub injections_dropped: u64,
+/// * the struct, with one `pub u64` field per row in row order, deriving
+///   `Clone, Copy, Debug, Default, PartialEq, Eq`;
+/// * `merge(&mut self, other: &Self)`, which adds `sum` rows and keeps the
+///   larger of each `max` row (totals across nodes and replicas);
+/// * `fields()`, every row as `(name, value)` in row order (the key names
+///   and order of the struct's JSONL section);
+/// * `map(f)`, the struct with `f` applied to every row (e.g. a mean).
+///
+/// ```
+/// byzcast_sim::stats_table! {
+///     /// Queue statistics.
+///     pub struct QueueStats {
+///         /// Items enqueued.
+///         pushed: sum,
+///         /// Longest the queue got.
+///         peak_len: max,
+///     }
+/// }
+/// let mut a = QueueStats { pushed: 3, peak_len: 5 };
+/// a.merge(&QueueStats { pushed: 4, peak_len: 2 });
+/// assert_eq!(a.fields(), [("pushed", 7), ("peak_len", 5)]);
+/// assert_eq!(a.map(|v| v * 2), QueueStats { pushed: 14, peak_len: 10 });
+/// ```
+#[macro_export]
+macro_rules! stats_table {
+    (
+        $(#[$meta:meta])*
+        pub struct $name:ident {
+            $(
+                $(#[$row_meta:meta])*
+                $row:ident: $policy:ident,
+            )*
+        }
+    ) => {
+        $(#[$meta])*
+        #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+        pub struct $name {
+            $(
+                $(#[$row_meta])*
+                pub $row: u64,
+            )*
+        }
+
+        impl $name {
+            /// Folds `other` in: `sum` rows add, `max` rows keep the larger
+            /// value.
+            pub fn merge(&mut self, other: &Self) {
+                $($crate::stats_table!(@merge $policy self.$row, other.$row);)*
+            }
+
+            /// Every row as `(name, value)`, in declaration order.
+            pub fn fields(&self) -> [(&'static str, u64); [$(stringify!($row)),*].len()] {
+                [$((stringify!($row), self.$row)),*]
+            }
+
+            /// This struct with `f` applied to every row.
+            pub fn map(&self, f: impl Fn(u64) -> u64) -> Self {
+                $name {
+                    $($row: f(self.$row),)*
+                }
+            }
+        }
+    };
+    (@merge sum $acc:expr, $x:expr) => {
+        $acc += $x
+    };
+    (@merge max $acc:expr, $x:expr) => {
+        $acc = $acc.max($x)
+    };
+}
+
+stats_table! {
+    /// Counters for executed fault-plan events and their radio-level effects.
+    ///
+    /// All-zero (the `Default`) when the run had no fault plan, so metrics from
+    /// faulty and fault-free runs still compare with `==` in differential tests.
+    pub struct FaultStats {
+        /// Crash events executed.
+        crashes: sum,
+        /// Restart events executed.
+        restarts: sum,
+        /// Byzantine activations delivered (`SetByzantine { active: true }`).
+        byz_activations: sum,
+        /// Byzantine deactivations delivered (`SetByzantine { active: false }`).
+        byz_deactivations: sum,
+        /// Jam windows opened.
+        jam_starts: sum,
+        /// Jam windows closed.
+        jam_ends: sum,
+        /// Receptions destroyed by an active jam region.
+        jam_losses: sum,
+        /// Application broadcasts dropped because the origin node was down.
+        injections_dropped: sum,
+    }
 }
 
 /// All metrics for a run.
